@@ -3,14 +3,22 @@ transformed effective channels with structural checks.
 
 A circulant channel becomes diagonal under the complex-exponential pair and
 stair block diagonal under the integer periodic transform pair: one block
-per divisor of N, sized phi(q_i). Two decomposition routes ship:
+per divisor of N, sized phi(q_i). Subspace q lives exactly on the DFT bins
+supp(q), so both RPSDM bases are built per block from the DFT H of the taps
+and the transform's fixed per-subspace maps A_q (``subspace_maps``):
 
 * ``basis="normalized"`` — production pair (e_r, weighted e_t), the one the
-  simulation chain uses;
-* ``basis="integer"`` — raw pair (e_t^T, e_t), the route whose blocks are
-  Toeplitz for every N and skew-circulant for N a power of two.
+  simulation chain uses: block A_q^{-1} diag(H[supp q]) A_q;
+* ``basis="integer"`` — raw pair (e_t^T, e_t), whose blocks are Toeplitz for
+  every N and skew-circulant for N a power of two:
+  block diag(1/w) A_q^H diag(H[supp q]) A_q diag(1/w) / N with w the
+  block's column weights.
 
-For power-of-two N the routes differ only by a block-constant scale, so the
+Off-block entries are exactly zero. The dense products e_r @ H_cir @ forward
+and e_t^T @ H_cir @ e_t remain the reference: the tests and the
+``decompose`` command compute them from ``circulant_matrix``.
+
+For power-of-two N the bases differ only by a block-constant scale, so the
 zero/nonzero structure is identical. For other N the normalized inverse-path
 blocks stay block diagonal but are not Toeplitz in general.
 """
@@ -108,11 +116,8 @@ def circulant_from_column(col: np.ndarray) -> np.ndarray:
     """Circulant matrix from an arbitrary first column (each column a
     circular down-shift of the previous)."""
     col = np.asarray(col)
-    n = col.shape[0]
-    out = np.empty((n, n), dtype=col.dtype)
-    for j in range(n):
-        out[:, j] = np.roll(col, j)
-    return out
+    idx = np.arange(col.shape[0])
+    return col[(idx[:, None] - idx[None, :]) % col.shape[0]]
 
 
 @dataclass(frozen=True)
@@ -141,24 +146,30 @@ def effective_channel(scheme: Scheme, ch: ChannelRealization,
                       basis: str = "normalized") -> EffectiveChannel:
     """Transform the circulant channel into its per-scheme effective form.
 
-    OFDM: diagonal matrix of the N-point DFT of the zero-padded taps.
-    RPSDM: e_r @ H_cir @ forward (``basis="normalized"``) or
-    e_t.T @ H_cir @ e_t (``basis="integer"``, the worked-fixture route).
+    OFDM: diagonal matrix of the N-point DFT H of the zero-padded taps.
+    RPSDM: per divisor block, A_q^{-1} diag(H_q) A_q (``basis="normalized"``,
+    equal to e_r @ H_cir @ forward) or diag(1/w) A_q^H diag(H_q) A_q
+    diag(1/w) / N (``basis="integer"``, equal to e_t.T @ H_cir @ e_t, the
+    worked-fixture route), with H_q = H[supp q] and w = q_norm on the block.
     """
+    taps = np.zeros(ch.n, dtype=np.complex128)
+    taps[:ch.l] = ch.taps
+    gains = np.fft.fft(taps)
     if scheme is Scheme.OFDM:
-        taps = np.zeros(ch.n, dtype=np.complex128)
-        taps[:ch.l] = ch.taps
-        return EffectiveChannel(scheme=scheme, matrix=np.diag(np.fft.fft(taps)),
-                                layout=None)
+        return EffectiveChannel(scheme=scheme, matrix=np.diag(gains), layout=None)
     if transform is None or transform.n != ch.n:
         raise ValueError("a transform matching the channel block length is required")
-    h_cir = circulant_matrix(ch)
-    if basis == "normalized":
-        matrix = transform.e_r @ h_cir @ transform.forward
-    elif basis == "integer":
-        matrix = transform.e_t.T @ h_cir @ transform.e_t
-    else:
+    if basis not in ("normalized", "integer"):
         raise ValueError(f"basis must be 'normalized' or 'integer', got {basis!r}")
+    matrix = np.zeros((ch.n, ch.n), dtype=np.complex128)
+    for m in transform.subspace_maps:
+        s = slice(m.offset, m.offset + m.a.shape[0])
+        shaped = gains[m.bins, None] * m.a
+        if basis == "normalized":
+            matrix[s, s] = m.a_inv @ shaped
+        else:
+            inv_w = 1.0 / transform.q_norm[s]
+            matrix[s, s] = (m.a.conj().T @ shaped) * np.outer(inv_w, inv_w) / ch.n
     return EffectiveChannel(scheme=scheme, matrix=matrix, layout=transform.layout)
 
 

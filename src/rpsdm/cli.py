@@ -21,7 +21,8 @@ import tempfile
 
 import numpy as np
 
-from .channel import draw_channel, effective_channel, structure_report
+from .channel import (EffectiveChannel, circulant_matrix, draw_channel, effective_channel,
+                      structure_report)
 from .detection import Detector, QamConstellation
 from .metrics import CurveResult, ber_curve, complexity_report, papr_ccdf, worst_case_papr
 from .ramanujan import NumericalError, build_transform, dft_support
@@ -223,8 +224,13 @@ def _cmd_decompose(args) -> tuple[str, dict[str, str]]:
     if fmt != "json":
         raise ConfigError("decompose emits json only")
     ch = draw_channel(seed, l, n)
-    transform = build_transform(n) if scheme is Scheme.RPSDM else None
-    eff = effective_channel(scheme, ch, transform)
+    if scheme is Scheme.RPSDM:
+        # the dense product, so the report shows the blocks emerging from it
+        transform = build_transform(n)
+        eff = EffectiveChannel(scheme=scheme, layout=transform.layout,
+                               matrix=transform.e_r @ circulant_matrix(ch) @ transform.forward)
+    else:
+        eff = effective_channel(scheme, ch)
     report = structure_report(eff)
     payload = {
         "command": "decompose",

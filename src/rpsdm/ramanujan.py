@@ -14,6 +14,7 @@ exact and the orthogonality identities hold without rounding drift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +90,23 @@ def subspace_basis(q: int, n_total: int) -> SubspaceBasis:
 
 
 @dataclass(frozen=True)
+class SubspaceMap:
+    """DFT map of one divisor block: where its subspace lives in frequency.
+
+    ``bins`` are the sorted DFT bins supp(q); ``a`` is the phi x phi map
+    F[bins] @ forward[:, block], in closed form
+    sqrt(n/phi) * exp(-2 pi j k l / n) for k in ``bins`` and l < phi, and
+    ``a_inv`` is its inverse. The block of a circulant channel with DFT H
+    under the normalized pair is a_inv @ diag(H[bins]) @ a.
+    """
+
+    offset: int
+    bins: np.ndarray
+    a: np.ndarray
+    a_inv: np.ndarray
+
+
+@dataclass(frozen=True)
 class PeriodicTransform:
     """Full modulation/demodulation pair for block length n.
 
@@ -110,6 +128,19 @@ class PeriodicTransform:
     @property
     def transpose_path(self) -> bool:
         return is_power_of_two(self.n)
+
+    @cached_property
+    def subspace_maps(self) -> tuple[SubspaceMap, ...]:
+        """One DFT map per divisor block, built on first use and held by this
+        transform (callers that never need them do not pay for them)."""
+        maps = []
+        for q, phi, offset in self.layout.blocks():
+            bins = np.array(sorted(dft_support(q, self.n)), dtype=np.int64)
+            phase = np.outer(bins, np.arange(phi)) % self.n
+            a = np.sqrt(self.n / phi) * np.exp(-2j * np.pi * phase / self.n)
+            maps.append(SubspaceMap(offset=offset, bins=bins, a=a,
+                                    a_inv=np.linalg.inv(a)))
+        return tuple(maps)
 
 
 def build_transform(n: int) -> PeriodicTransform:

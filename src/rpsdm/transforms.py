@@ -57,7 +57,6 @@ class ModulatorPlan:
     forward: np.ndarray
     inverse: np.ndarray
     transform: PeriodicTransform | None
-    fast_path: bool
 
 
 def make_plan(scheme: Scheme, n: int, power: float | None = None,
@@ -81,7 +80,7 @@ def make_plan(scheme: Scheme, n: int, power: float | None = None,
     return ModulatorPlan(scheme=scheme, n=n, power=power,
                          power_scale=math.sqrt(power / n),
                          forward=forward, inverse=inverse,
-                         transform=transform, fast_path=is_power_of_two(n))
+                         transform=transform)
 
 
 def modulate(plan: ModulatorPlan, symbols: np.ndarray) -> np.ndarray:

@@ -202,6 +202,26 @@ class TestEffectiveChannelRpsdm:
         ok_raw, _ = is_toeplitz(raw.block(2), scale=np.abs(raw.matrix).max())
         assert ok_raw
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 6, 12, 96, 128])
+    def test_matches_dense_products(self, n):
+        # per-subspace DFT construction vs the dense oracles, both bases;
+        # off-block entries are exact zeros, not rounding residue
+        transform = build_transform(n)
+        mask = np.ones((n, n), dtype=bool)
+        for i in range(len(transform.layout)):
+            s = transform.layout.block_slice(i)
+            mask[s, s] = False
+        for l in sorted({1, min(3, n), n}):
+            ch = draw_channel(1000 * n + l, l, n)
+            h_cir = circulant_matrix(ch)
+            oracles = {"normalized": transform.e_r @ h_cir @ transform.forward,
+                       "integer": transform.e_t.T @ h_cir @ transform.e_t}
+            for basis, dense in oracles.items():
+                matrix = effective_channel(Scheme.RPSDM, ch, transform, basis=basis).matrix
+                error = np.abs(matrix - dense).max() / np.abs(dense).max()
+                assert error <= 1e-12, (n, l, basis, error)
+                assert np.all(matrix[mask] == 0), (n, l, basis)
+
     def test_requires_matching_transform(self):
         ch = draw_channel(0, 2, 8)
         with pytest.raises(ValueError):

@@ -240,3 +240,23 @@ class TestDftSupport:
     def test_rejects_non_divisor(self):
         with pytest.raises(ValueError):
             dft_support(3, 8)
+
+
+class TestSubspaceMaps:
+    def test_closed_form_is_dft_of_block_columns(self):
+        for n in (1, 4, 6, 12, 16, 96):
+            t = build_transform(n)
+            spectrum = np.fft.fft(t.forward, axis=0)
+            for m, (q, phi, offset) in zip(t.subspace_maps, t.layout.blocks()):
+                assert m.offset == offset
+                assert m.bins.tolist() == sorted(dft_support(q, n))
+                np.testing.assert_allclose(m.a, spectrum[m.bins, offset:offset + phi],
+                                           atol=1e-12 * n)
+                np.testing.assert_allclose(m.a_inv @ m.a, np.eye(phi), atol=1e-12)
+
+    def test_built_lazily_and_held_by_the_transform(self):
+        t = build_transform(8)
+        assert "subspace_maps" not in vars(t)
+        maps = t.subspace_maps
+        assert t.subspace_maps is maps
+        assert "subspace_maps" not in vars(build_transform(8))
