@@ -4,8 +4,12 @@ transformed effective channels with structural checks.
 A circulant channel becomes diagonal under the complex-exponential pair and
 stair block diagonal under the integer periodic transform pair: one block
 per divisor of N, sized phi(q_i). Subspace q lives exactly on the DFT bins
-supp(q), so both RPSDM bases are built per block from the DFT H of the taps
-and the transform's fixed per-subspace maps A_q (``subspace_maps``):
+supp(q), so an effective channel is fully described by the DFT H of the
+taps plus, for RPSDM, the transform's fixed per-subspace maps A_q
+(``subspace_maps``). ``effective_channel`` computes only H; the dense matrix
+is built on demand (``EffectiveChannel.matrix``, ``block``, ``blocks``) for
+the structure checks, ``decompose`` and the tests, while the equalizer
+works on H directly. The blocks, for the two RPSDM bases:
 
 * ``basis="normalized"`` — production pair (e_r, weighted e_t), the one the
   simulation chain uses: block A_q^{-1} diag(H[supp q]) A_q;
@@ -120,20 +124,62 @@ def circulant_from_column(col: np.ndarray) -> np.ndarray:
     return col[(idx[:, None] - idx[None, :]) % col.shape[0]]
 
 
-@dataclass(frozen=True)
 class EffectiveChannel:
-    """Channel matrix seen between modulation symbols and demodulated output."""
+    """Channel seen between modulation symbols and demodulated output.
 
-    scheme: Scheme
-    matrix: np.ndarray
-    layout: DivisorSet | None  # divisor block layout; None for the diagonal scheme
+    ``effective_channel`` builds it from ``gains``, the DFT of the
+    zero-padded taps, and for the subspace scheme the ``transform`` whose
+    per-subspace maps shape each block; the dense ``matrix`` is assembled on
+    first read and then kept, and ``block(i)`` before that computes only its
+    own phi(q_i) x phi(q_i) block. ``EffectiveChannel(scheme, matrix,
+    layout)`` gives a channel from an explicit matrix, with no gains.
+    """
+
+    def __init__(self, scheme: Scheme, matrix: np.ndarray | None = None,
+                 layout: DivisorSet | None = None, *, gains: np.ndarray | None = None,
+                 transform: PeriodicTransform | None = None, basis: str = "normalized"):
+        if (matrix is None) == (gains is None):
+            raise ValueError("give exactly one of matrix and gains")
+        if gains is not None and layout is not None and transform is None:
+            raise ValueError("a subspace channel from gains needs its transform")
+        self.scheme = scheme
+        self.layout = layout  # divisor block layout; None for the diagonal scheme
+        self.gains = gains
+        self.transform = transform
+        self.basis = basis
+        self._matrix = None if matrix is None else np.asarray(matrix)
+
+    @property
+    def n(self) -> int:
+        return (self.gains if self._matrix is None else self._matrix).shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense N x N effective channel; off-block entries exactly zero."""
+        if self._matrix is None:
+            if self.layout is None:
+                self._matrix = np.diag(self.gains)
+            else:
+                matrix = np.zeros((self.n, self.n), dtype=np.complex128)
+                for i in range(len(self.layout)):
+                    s = self.layout.block_slice(i)
+                    matrix[s, s] = self.block(i)
+                self._matrix = matrix
+        return self._matrix
 
     def block(self, i: int) -> np.ndarray:
         """i-th diagonal sub-matrix (phi(q_i) x phi(q_i))."""
         if self.layout is None:
             raise ValueError("block views only exist for the subspace scheme")
         s = self.layout.block_slice(i)
-        return self.matrix[s, s]
+        if self._matrix is not None:
+            return self._matrix[s, s]
+        m = self.transform.subspace_maps[i]
+        shaped = self.gains[m.bins, None] * m.a
+        if self.basis == "normalized":
+            return m.a_inv @ shaped
+        inv_w = 1.0 / self.transform.q_norm[s]
+        return (m.a.conj().T @ shaped) * np.outer(inv_w, inv_w) / self.n
 
     def blocks(self) -> list[np.ndarray]:
         if self.layout is None:
@@ -146,31 +192,25 @@ def effective_channel(scheme: Scheme, ch: ChannelRealization,
                       basis: str = "normalized") -> EffectiveChannel:
     """Transform the circulant channel into its per-scheme effective form.
 
-    OFDM: diagonal matrix of the N-point DFT H of the zero-padded taps.
-    RPSDM: per divisor block, A_q^{-1} diag(H_q) A_q (``basis="normalized"``,
-    equal to e_r @ H_cir @ forward) or diag(1/w) A_q^H diag(H_q) A_q
-    diag(1/w) / N (``basis="integer"``, equal to e_t.T @ H_cir @ e_t, the
-    worked-fixture route), with H_q = H[supp q] and w = q_norm on the block.
+    Only the DFT H of the zero-padded taps is computed here; the dense
+    matrix is built when ``.matrix``, ``.block()`` or ``.blocks()`` is read.
+    OFDM: diagonal matrix diag(H). RPSDM: per divisor block,
+    A_q^{-1} diag(H_q) A_q (``basis="normalized"``, equal to
+    e_r @ H_cir @ forward) or diag(1/w) A_q^H diag(H_q) A_q diag(1/w) / N
+    (``basis="integer"``, equal to e_t.T @ H_cir @ e_t, the worked-fixture
+    route), with H_q = H[supp q] and w = q_norm on the block.
     """
     taps = np.zeros(ch.n, dtype=np.complex128)
     taps[:ch.l] = ch.taps
     gains = np.fft.fft(taps)
     if scheme is Scheme.OFDM:
-        return EffectiveChannel(scheme=scheme, matrix=np.diag(gains), layout=None)
+        return EffectiveChannel(scheme, gains=gains)
     if transform is None or transform.n != ch.n:
         raise ValueError("a transform matching the channel block length is required")
     if basis not in ("normalized", "integer"):
         raise ValueError(f"basis must be 'normalized' or 'integer', got {basis!r}")
-    matrix = np.zeros((ch.n, ch.n), dtype=np.complex128)
-    for m in transform.subspace_maps:
-        s = slice(m.offset, m.offset + m.a.shape[0])
-        shaped = gains[m.bins, None] * m.a
-        if basis == "normalized":
-            matrix[s, s] = m.a_inv @ shaped
-        else:
-            inv_w = 1.0 / transform.q_norm[s]
-            matrix[s, s] = (m.a.conj().T @ shaped) * np.outer(inv_w, inv_w) / ch.n
-    return EffectiveChannel(scheme=scheme, matrix=matrix, layout=transform.layout)
+    return EffectiveChannel(scheme, layout=transform.layout, gains=gains,
+                            transform=transform, basis=basis)
 
 
 def _scale_of(matrix: np.ndarray, scale: float | None) -> float:

@@ -2,9 +2,18 @@
 
 The equalizer applies (H^H H + zeta I)^{-1} H^H with zeta = 0 (ZF) or
 zeta = sigma^2 (MMSE): per frequency bin for the diagonal scheme, per
-divisor block for the subspace scheme. Bit labels use Gray coding per axis;
-symbols are normalized to unit average energy inside the simulation chain
-so sigma^2 parameterizes both the SNR and the MMSE regularizer.
+divisor block for the subspace scheme. Subspace q lives on the DFT bins
+supp(q), so an RPSDM block is A_q^{-1} diag(H_q) A_q with A_q the fixed map
+F[supp q] @ forward[:, block q]. ZF (any N) and MMSE with A_q^H A_q = N I
+(exactly when N is a power of two) therefore reduce to OFDM's per-bin
+weights H* / (|H|^2 + zeta) between the forward map and its inverse:
+e_r @ ifft(W * fft(forward @ y)), with no block matrix formed. MMSE at
+other N, integer-basis channels and channels given as an explicit matrix
+take the per-block solve of the regularized normal equations, which is
+also the reference the tests hold the per-bin route to. The route follows from N and the detector
+alone. Bit labels use Gray coding per axis; symbols are normalized to unit
+average energy inside the simulation chain so sigma^2 parameterizes both
+the SNR and the MMSE regularizer.
 """
 
 from __future__ import annotations
@@ -52,21 +61,40 @@ class DetectorSpec:
         return cls(kind=Detector.MMSE, zeta=float(sigma2))
 
 
+def _real_matvec(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Real matrix times complex vector as one real gemm on the (n, 2) view
+    of v, instead of a complex product that first copies the matrix to
+    complex."""
+    v = np.ascontiguousarray(v, dtype=np.complex128)
+    return (matrix @ v.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
+
+
 def equalize(spec: DetectorSpec, eff: EffectiveChannel, y: np.ndarray) -> np.ndarray:
     """Recover symbol estimates from the demodulated block y."""
     y = np.asarray(y)
-    n = eff.matrix.shape[0]
+    n = eff.n
     if y.shape != (n,):
         raise ValueError(f"expected block of length {n}, got shape {y.shape}")
     if eff.scheme is Scheme.OFDM:
-        gains = np.diag(eff.matrix)
+        gains = np.diag(eff.matrix) if eff.gains is None else eff.gains
         denom = np.abs(gains) ** 2 + spec.zeta
-        if spec.kind is Detector.ZF and np.any(denom == 0.0):
+        if not denom.all():  # only ZF (zeta = 0) can hit a zero
             k = int(np.flatnonzero(denom == 0.0)[0])
             raise SingularChannelError(f"zero channel gain at bin {k}", where=f"bin {k}")
         return np.conj(gains) * y / denom
-    out = np.empty(n, dtype=np.complex128)
     assert eff.layout is not None
+    t = eff.transform
+    if eff.gains is not None and eff.basis == "normalized" and (
+            spec.kind is Detector.ZF or t.transpose_path):
+        denom = np.abs(eff.gains) ** 2 + spec.zeta
+        if not denom.all():
+            # bin k lies in block q = N / gcd(k, N); name the first in layout order
+            q = min(n // math.gcd(int(k), n) for k in np.flatnonzero(denom == 0.0))
+            raise SingularChannelError(f"zero channel gain in the block for divisor q={q}",
+                                       where=f"q={q}")
+        weights = np.conj(eff.gains) / denom
+        return _real_matvec(t.e_r, np.fft.ifft(weights * np.fft.fft(_real_matvec(t.forward, y))))
+    out = np.empty(n, dtype=np.complex128)
     for i, (q, phi, offset) in enumerate(eff.layout.blocks()):
         h = eff.block(i)
         rhs = h.conj().T @ y[offset:offset + phi]
@@ -157,7 +185,7 @@ def qam_map(bits: np.ndarray, constellation: QamConstellation,
     k = constellation.bits_per_symbol
     if bits.ndim != 1 or bits.size % k != 0:
         raise ValueError(f"bit count must be a multiple of {k}")
-    if bits.size and not np.isin(bits, (0, 1)).all():
+    if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("bits must be 0/1")
     groups = bits.reshape(-1, k)
     half = k // 2

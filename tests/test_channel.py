@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rpsdm.channel import (ChannelRealization, add_cp, circulant_from_column,
+from rpsdm.channel import (ChannelRealization, EffectiveChannel, add_cp, circulant_from_column,
                            circulant_matrix, draw_channel, effective_channel,
                            is_skew_circulant, is_stair_block_diagonal, is_toeplitz,
                            remove_cp, structure_report, transmit)
@@ -221,6 +221,27 @@ class TestEffectiveChannelRpsdm:
                 error = np.abs(matrix - dense).max() / np.abs(dense).max()
                 assert error <= 1e-12, (n, l, basis, error)
                 assert np.all(matrix[mask] == 0), (n, l, basis)
+
+    def test_blocks_on_demand_match_the_matrix(self):
+        # before the dense build, block(i) computes the values the build stores
+        for n in (12, 128):
+            transform = build_transform(n)
+            for basis in ("normalized", "integer"):
+                eff = effective_channel(Scheme.RPSDM, draw_channel(n, 3, n), transform,
+                                        basis=basis)
+                lazy = eff.blocks()
+                matrix = eff.matrix
+                for i, block in enumerate(lazy):
+                    s = transform.layout.block_slice(i)
+                    np.testing.assert_array_equal(block, matrix[s, s])
+
+    def test_needs_exactly_one_of_matrix_and_gains(self):
+        with pytest.raises(ValueError):
+            EffectiveChannel(Scheme.OFDM)
+        with pytest.raises(ValueError):
+            EffectiveChannel(Scheme.OFDM, np.eye(2), gains=np.ones(2))
+        with pytest.raises(ValueError):
+            EffectiveChannel(Scheme.RPSDM, layout=divisor_set(4), gains=np.ones(4))
 
     def test_requires_matching_transform(self):
         ch = draw_channel(0, 2, 8)

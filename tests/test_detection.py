@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from rpsdm.channel import (ChannelRealization, EffectiveChannel, add_cp, draw_channel,
-                           effective_channel, remove_cp, transmit)
+from rpsdm.channel import (ChannelRealization, EffectiveChannel, add_cp, circulant_matrix,
+                           draw_channel, effective_channel, remove_cp, transmit)
 from rpsdm.detection import (Detector, DetectorSpec, QamConstellation,
                              SingularChannelError, equalize, qam_demap, qam_map)
 from rpsdm.metrics import complexity_report
@@ -95,6 +95,63 @@ class TestEqualize:
         eff = effective_channel(Scheme.OFDM, ch)
         with pytest.raises(ValueError):
             equalize(DetectorSpec.zf(), eff, np.ones(7, dtype=complex))
+
+
+class TestPerBinEqualizer:
+    """The per-bin route (H* / (|H|^2 + zeta) between the fixed maps) against
+    the dense per-block solve on the explicit product e_r @ H_cir @ forward."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6, 12, 96, 128])
+    def test_matches_dense_block_solve(self, n):
+        transform = build_transform(n)
+        rng = np.random.default_rng(2024 + n)
+        specs = [DetectorSpec.zf()] + [DetectorSpec.mmse(s2) for s2 in (1e-3, 0.1, 1.0)]
+        for l in sorted({1, min(3, n), n}):
+            ch = draw_channel(rng, l, n)
+            dense = transform.e_r @ circulant_matrix(ch) @ transform.forward
+            oracle_eff = EffectiveChannel(Scheme.RPSDM, dense, transform.layout)
+            eff = effective_channel(Scheme.RPSDM, ch, transform)
+            y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            for spec in specs:
+                oracle = equalize(spec, oracle_eff, y)
+                error = np.abs(equalize(spec, eff, y) - oracle).max() / np.abs(oracle).max()
+                assert error <= 1e-10, (n, l, spec, error)
+
+    def test_integer_basis_solves_its_own_blocks(self):
+        # the raw (e_t^T, e_t) blocks are not A_q^{-1} diag(H_q) A_q, so they
+        # take the per-block solve, as their explicit matrix does
+        for n in (8, 12):
+            transform = build_transform(n)
+            ch = draw_channel(n, 3, n)
+            y = np.arange(n) + 1j
+            eff = effective_channel(Scheme.RPSDM, ch, transform, basis="integer")
+            for spec in (DetectorSpec.zf(), DetectorSpec.mmse(0.1)):
+                oracle = equalize(spec, EffectiveChannel(Scheme.RPSDM, eff.matrix,
+                                                         transform.layout), y)
+                np.testing.assert_allclose(equalize(spec, eff, y), oracle, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 128])
+    def test_no_dense_matrix_built(self, n):
+        # ZF and MMSE at power-of-two N never read the dense effective matrix
+        transform = build_transform(n)
+        ch = draw_channel(7, 4, n)
+        y = np.ones(n, dtype=complex)
+        for spec in (DetectorSpec.zf(), DetectorSpec.mmse(0.1)):
+            eff = effective_channel(Scheme.RPSDM, ch, transform)
+            equalize(spec, eff, y)
+            assert eff._matrix is None
+
+    @pytest.mark.parametrize("taps, n, where", [((1, -1j), 4, "q=4"), ((1, 1), 8, "q=2")])
+    def test_singular_zf_names_block(self, taps, n, where):
+        # each channel has an exact zero DFT bin: (1, -1j) at k=1 of N=4,
+        # (1, 1) at k=4 of N=8; the block is q = N / gcd(k, N)
+        ch = ChannelRealization(taps=np.array(taps, dtype=complex), n=n)
+        eff = effective_channel(Scheme.RPSDM, ch, build_transform(n))
+        with pytest.raises(SingularChannelError) as info:
+            equalize(DetectorSpec.zf(), eff, np.ones(n, dtype=complex))
+        assert info.value.where == where
+        # MMSE stays defined on the same channel
+        assert np.all(np.isfinite(equalize(DetectorSpec.mmse(0.1), eff, np.ones(n))))
 
 
 class TestZfPerfectRecovery:
@@ -262,5 +319,6 @@ class TestQamMapping:
         qam = QamConstellation.from_order(16)
         with pytest.raises(ValueError):
             qam_map(np.zeros(6, dtype=int), qam)
-        with pytest.raises(ValueError):
-            qam_map(np.array([0, 2, 1, 1]), qam)
+        for bad in (2, -1):
+            with pytest.raises(ValueError, match="0/1"):
+                qam_map(np.array([0, bad, 1, 1]), qam)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from rpsdm.number_theory import divisor_set, totient
+from rpsdm.number_theory import divisor_set, is_power_of_two, totient
 from rpsdm.ramanujan import (build_transform, circulant_integer_matrix, dft_support,
                              ramanujan_sum, subspace_basis)
 
@@ -260,3 +260,12 @@ class TestSubspaceMaps:
         maps = t.subspace_maps
         assert t.subspace_maps is maps
         assert "subspace_maps" not in vars(build_transform(8))
+
+    @pytest.mark.parametrize("n", [*range(1, 17), 96, 128])
+    def test_unitary_exactly_for_powers_of_two(self, n):
+        # the equalizer's per-bin MMSE route rests on A_q^H A_q = N I for
+        # every block, which holds exactly when N is a power of two
+        t = build_transform(n)
+        unitary = all(np.abs(m.a.conj().T @ m.a - n * np.eye(m.a.shape[0])).max() <= 1e-12 * n
+                      for m in t.subspace_maps)
+        assert unitary == is_power_of_two(n) == t.transpose_path
