@@ -2,7 +2,8 @@
 machine-readable output.
 
 Every value a command needs can come from a ``key = value`` config file
-(``--config``); command-line flags override file entries. Stochastic
+(``--config``); command-line flags override file entries. Both go through
+the same parser, declared once per option in ``OPTIONS``. Stochastic
 commands require an explicit ``--seed`` (no wall-clock seeding) and rerunning
 with the same configuration produces byte-identical files regardless of the
 worker count (RPSDM_THREADS or ``--workers``).
@@ -13,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -24,7 +26,7 @@ import numpy as np
 from .channel import (EffectiveChannel, circulant_matrix, draw_channel, effective_channel,
                       structure_report)
 from .detection import Detector, QamConstellation
-from .metrics import CurveResult, ber_curve, complexity_report, papr_ccdf, worst_case_papr
+from .metrics import ber_curve, complexity_report, papr_ccdf, worst_case_papr
 from .ramanujan import NumericalError, build_transform, dft_support
 from .transforms import Scheme
 
@@ -36,17 +38,38 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# value parsing
+# value parsing: each parser raises ValueError on bad input
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_n_list(text: str) -> list[int]:
+    """Comma-separated block lengths, each >= 1."""
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
-    if not values:
-        raise ConfigError(f"expected at least one integer, got {text!r}")
+    except ValueError:
+        values = []
+    if not values or min(values) < 1:
+        raise ValueError(f"expected comma-separated integers >= 1, got {text!r}")
     return values
+
+
+def _parse_at_least(low: int):
+    """Parser of an integer >= ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"expected an integer >= {low}, got {value}")
+        return value
+    return parse
+
+
+def _parse_one_of(convert, choices: tuple):
+    """Parser of a value ``convert(text)`` that must be one of ``choices``."""
+    def parse(text: str):
+        value = convert(text)
+        if value not in choices:
+            raise ValueError(f"expected one of {choices}, got {value!r}")
+        return value
+    return parse
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -66,27 +89,33 @@ def _parse_grid(text: str) -> np.ndarray:
             raise ValueError
         return values
     except ValueError as exc:
-        raise ConfigError(f"expected 'start:stop:step' or comma-separated floats, got {text!r}") from exc
+        raise ValueError(f"expected 'start:stop:step' or comma-separated floats, got {text!r}") from exc
 
 
-def _parse_schemes(text: str) -> list[Scheme]:
-    key = text.strip().lower()
-    if key == "both":
-        return [Scheme.OFDM, Scheme.RPSDM]
-    try:
-        return [Scheme(key)]
-    except ValueError as exc:
-        raise ConfigError(f"scheme must be ofdm, rpsdm, or both, got {text!r}") from exc
+def _parse_both(kind):
+    """Parser of 'both' (every member of the enum ``kind``) or one member's value."""
+    def parse(text: str) -> list:
+        key = text.strip().lower()
+        return list(kind) if key == "both" else [kind(key)]
+    return parse
 
 
-def _parse_detectors(text: str) -> list[Detector]:
-    key = text.strip().lower()
-    if key == "both":
-        return [Detector.ZF, Detector.MMSE]
-    try:
-        return [Detector(key)]
-    except ValueError as exc:
-        raise ConfigError(f"detector must be zf, mmse, or both, got {text!r}") from exc
+#: every option: (parser for its flag and its config-file entry, help text)
+OPTIONS = {
+    "config": (str, "flat key = value config file; flags override"),
+    "n": (_parse_n_list, "block length(s), comma separated"),
+    "output": (str, "output file path (prefix for dump-basis)"),
+    "format": (_parse_one_of(str, ("csv", "json")), "output file format: csv or json"),
+    "seed": (_parse_at_least(0), "master RNG seed (required)"),
+    "thresholds": (_parse_grid, "dB grid start:stop:step or list"),
+    "snr": (_parse_grid, "SNR dB grid start:stop:step or list"),
+    "l": (int, "multipath count"),
+    "m": (_parse_one_of(int, VALID_QAM_ORDERS), "QAM order (4, 16, 64)"),
+    "trials": (_parse_at_least(1), "Monte Carlo trials (per SNR point for ber)"),
+    "scheme": (_parse_both(Scheme), "ofdm, rpsdm, or both (decompose: one)"),
+    "detector": (_parse_both(Detector), "zf, mmse, or both"),
+    "workers": (_parse_at_least(1), "trial worker threads (or RPSDM_THREADS)"),
+}
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -107,18 +136,50 @@ def read_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def _resolve(args: argparse.Namespace, key: str, parser=None, default=None, required=False):
-    """Flag value if given, else config-file entry, else default."""
-    value = getattr(args, key, None)
-    if value is None and args.file_config is not None:
-        raw = args.file_config.get(key)
-        if raw is not None:
-            value = parser(raw) if parser else raw
+def _parse(key: str, text: str, error=ConfigError):
+    """Option ``key``'s value from ``text``; a ValueError becomes ``error``."""
+    try:
+        return OPTIONS[key][0](text)
+    except ValueError as exc:
+        raise error(f"{key} = {text}: {exc}") from exc
+
+
+def _resolve(args: argparse.Namespace, key: str, default=None, required=False):
+    """Flag value if given, else the config-file entry (parsed as the flag
+    is), else default."""
+    value = getattr(args, key)
+    raw = (args.file_config or {}).get(key)
+    if value is None and raw is not None:
+        value = _parse(key, raw)
     if value is None:
         if required:
-            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
+            raise ConfigError(f"missing required option --{key}")
         return default
     return value
+
+
+def _single_n(args) -> int:
+    n_list = _resolve(args, "n", required=True)
+    if len(n_list) != 1:
+        raise ConfigError(f"{args.command} takes a single block length")
+    return n_list[0]
+
+
+def _multipath_count(args, n: int) -> int:
+    l = _resolve(args, "l", required=True)
+    if not 1 <= l <= n:
+        raise ConfigError(f"need 1 <= l <= n, got l={l}, n={n}")
+    return l
+
+
+def _workers(args) -> int:
+    value = _resolve(args, "workers")
+    if value is not None:
+        return value
+    try:
+        return OPTIONS["workers"][0](os.environ.get("RPSDM_THREADS", "1"))
+    except ValueError as exc:
+        raise ConfigError(f"RPSDM_THREADS: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +198,10 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -150,26 +215,35 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _table_files(args, header: list[str], rows: list[list], payload: dict) -> dict[str, str]:
+    """The requested output file: ``payload`` as JSON, or ``rows`` under
+    ``header`` as CSV (the default). Empty without ``--output``."""
+    fmt = _resolve(args, "format", default="csv")
+    output = _resolve(args, "output")
+    if not output:
+        return {}
+    return {output: _json_text(payload) if fmt == "json" else _csv_text(header, rows)}
 
 
-def _curve_rows(curve: CurveResult) -> list[list]:
+def _curve_files(args, config: dict, curves: list, header: list[str]) -> dict[str, str]:
+    """One CSV row per curve point, led by the identity columns (every header
+    entry before grid, value, ci_low, ci_high); one JSON entry per curve."""
     rows = []
-    for g, v, lo, hi in zip(curve.grid, curve.values, curve.ci_low, curve.ci_high):
-        rows.append([g, v, lo, hi])
-    return rows
-
-
-def _curve_json(curve: CurveResult) -> dict:
-    return {
-        "config": curve.config_echo(),
-        "grid": [float(v) for v in curve.grid],
-        "values": [float(v) for v in curve.values],
-        "ci_low": [float(v) for v in curve.ci_low],
-        "ci_high": [float(v) for v in curve.ci_high],
-        "metadata": curve.metadata,
-    }
+    payload = {"command": args.command, "config": config, "curves": []}
+    for curve in curves:
+        echo = curve.config_echo()
+        identity = [echo[key] for key in header[:-4]]
+        rows.extend(identity + list(point) for point in
+                    zip(curve.grid, curve.values, curve.ci_low, curve.ci_high))
+        payload["curves"].append({
+            "config": echo,
+            "grid": [float(v) for v in curve.grid],
+            "values": [float(v) for v in curve.values],
+            "ci_low": [float(v) for v in curve.ci_low],
+            "ci_high": [float(v) for v in curve.ci_high],
+            "metadata": curve.metadata,
+        })
+    return _table_files(args, header, rows, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +251,7 @@ def _curve_json(curve: CurveResult) -> dict:
 
 
 def _cmd_spectrum(args) -> tuple[str, dict[str, str]]:
-    n_list = _resolve(args, "n", _parse_int_list, required=True)
-    if len(n_list) != 1:
-        raise ConfigError("spectrum takes a single block length")
-    n = n_list[0]
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    fmt = _resolve(args, "format", str, default="csv")
+    n = _single_n(args)
     transform = build_transform(n)
     subspaces = []
     for q, phi, offset in transform.layout.blocks():
@@ -196,32 +264,21 @@ def _cmd_spectrum(args) -> tuple[str, dict[str, str]]:
     for entry in subspaces:
         lines.append(f"  S_{entry['q']}: {entry['subcarriers']} subcarrier(s), "
                      f"DFT support {entry['support']}")
-    stdout = "\n".join(lines) + "\n"
-    files = {}
-    output = _resolve(args, "output", str)
-    if output:
-        if fmt == "json":
-            files[output] = _json_text({"command": "spectrum", "config": {"n": n},
-                                        "subspaces": subspaces})
-        else:
-            rows = [[entry["q"], k, mag] for entry in subspaces
-                    for k, mag in enumerate(entry["magnitude"])]
-            files[output] = _csv_text(["q", "k", "magnitude"], rows)
-    return stdout, files
+    rows = [[entry["q"], k, mag] for entry in subspaces
+            for k, mag in enumerate(entry["magnitude"])]
+    payload = {"command": "spectrum", "config": {"n": n}, "subspaces": subspaces}
+    return "\n".join(lines) + "\n", _table_files(args, ["q", "k", "magnitude"], rows, payload)
 
 
 def _cmd_decompose(args) -> tuple[str, dict[str, str]]:
     n = _single_n(args)
-    l = _resolve(args, "l", int, required=True)
-    seed = _resolve(args, "seed", int, required=True)
-    schemes = _resolve(args, "scheme", _parse_schemes, required=True)
+    l = _multipath_count(args, n)
+    seed = _resolve(args, "seed", required=True)
+    schemes = _resolve(args, "scheme", required=True)
     if len(schemes) != 1:
         raise ConfigError("decompose takes a single scheme (ofdm or rpsdm)")
     scheme = schemes[0]
-    if not 1 <= l <= n:
-        raise ConfigError(f"need 1 <= l <= n, got l={l}, n={n}")
-    fmt = _resolve(args, "format", str, default="json")
-    if fmt != "json":
+    if _resolve(args, "format", default="json") != "json":
         raise ConfigError("decompose emits json only")
     ch = draw_channel(seed, l, n)
     if scheme is Scheme.RPSDM:
@@ -246,21 +303,16 @@ def _cmd_decompose(args) -> tuple[str, dict[str, str]]:
                    f"blocks {[b['size'] for b in report['blocks']]}\n")
     else:
         stdout += f"  off-diagonal residual {report['off_diagonal_residual']:.3e}\n"
-    files = {}
-    output = _resolve(args, "output", str)
-    if output:
-        files[output] = _json_text(payload)
-    return stdout, files
+    output = _resolve(args, "output")
+    return stdout, {output: _json_text(payload)} if output else {}
 
 
 def _cmd_papr_worst(args) -> tuple[str, dict[str, str]]:
-    n_list = _resolve(args, "n", _parse_int_list, required=True)
-    m = _qam_order(args)
+    n_list = _resolve(args, "n", required=True)
+    m = _resolve(args, "m", default=16)
     constellation = QamConstellation.from_order(m)
     rows = []
     for n in n_list:
-        if n < 1:
-            raise ConfigError(f"n must be >= 1, got {n}")
         for scheme in (Scheme.OFDM, Scheme.RPSDM):
             rows.append([n, scheme.value, worst_case_papr(scheme, n, constellation)])
     lines = [f"worst-case PAPR (dB), {m}-QAM", f"{'n':>6} {'ofdm':>8} {'rpsdm':>8}"]
@@ -268,140 +320,79 @@ def _cmd_papr_worst(args) -> tuple[str, dict[str, str]]:
         ofdm_db = next(r[2] for r in rows if r[0] == n and r[1] == "ofdm")
         rpsdm_db = next(r[2] for r in rows if r[0] == n and r[1] == "rpsdm")
         lines.append(f"{n:>6} {ofdm_db:>8.2f} {rpsdm_db:>8.2f}")
-    stdout = "\n".join(lines) + "\n"
-    files = {}
-    output = _resolve(args, "output", str)
-    if output:
-        fmt = _resolve(args, "format", str, default="csv")
-        if fmt == "json":
-            payload = {"command": "papr-worst", "config": {"n": n_list, "m": m},
-                       "rows": [{"n": r[0], "scheme": r[1], "papr_db": r[2]} for r in rows]}
-            files[output] = _json_text(payload)
-        else:
-            files[output] = _csv_text(["n", "scheme", "worst_case_papr_db"], rows)
-    return stdout, files
+    # the JSON rows name the value papr_db; the CSV header keeps the longer name
+    payload = {"command": "papr-worst", "config": {"n": n_list, "m": m},
+               "rows": [{"n": r[0], "scheme": r[1], "papr_db": r[2]} for r in rows]}
+    return "\n".join(lines) + "\n", _table_files(
+        args, ["n", "scheme", "worst_case_papr_db"], rows, payload)
 
 
 def _cmd_papr_ccdf(args) -> tuple[str, dict[str, str]]:
-    n_list = _resolve(args, "n", _parse_int_list, required=True)
-    m = _qam_order(args)
-    trials = _resolve(args, "trials", int, default=100000)
-    seed = _resolve(args, "seed", int, required=True)
-    schemes = _resolve(args, "scheme", _parse_schemes, default=[Scheme.OFDM, Scheme.RPSDM])
-    thresholds = _resolve(args, "thresholds", _parse_grid, default=_parse_grid("0:14:0.25"))
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    n_list = _resolve(args, "n", required=True)
+    m = _resolve(args, "m", default=16)
+    trials = _resolve(args, "trials", default=100000)
+    seed = _resolve(args, "seed", required=True)
+    schemes = _resolve(args, "scheme", default=list(Scheme))
+    thresholds = _resolve(args, "thresholds", default=_parse_grid("0:14:0.25"))
     constellation = QamConstellation.from_order(m)
-    curves = []
-    for n in n_list:
-        if n < 1:
-            raise ConfigError(f"n must be >= 1, got {n}")
-        for scheme in schemes:
-            curves.append(papr_ccdf(scheme, n, constellation, thresholds, trials, seed))
+    curves = [papr_ccdf(scheme, n, constellation, thresholds, trials, seed)
+              for n in n_list for scheme in schemes]
     lines = [f"PAPR CCDF, {m}-QAM, {trials} trials, seed {seed}"]
     for curve in curves:
         lines.append(f"  {curve.scheme.value:>5} n={curve.n}")
-    stdout = "\n".join(lines) + "\n"
-    files = {}
-    output = _resolve(args, "output", str)
-    if output:
-        fmt = _resolve(args, "format", str, default="csv")
-        if fmt == "json":
-            files[output] = _json_text({"command": "papr-ccdf",
-                                        "config": {"n": n_list, "m": m, "trials": trials,
-                                                   "seed": seed,
-                                                   "schemes": [s.value for s in schemes],
-                                                   "thresholds": [float(t) for t in thresholds]},
-                                        "curves": [_curve_json(c) for c in curves]})
-        else:
-            rows = []
-            for curve in curves:
-                for row in _curve_rows(curve):
-                    rows.append([curve.scheme.value, curve.n] + row)
-            files[output] = _csv_text(
-                ["scheme", "n", "threshold_db", "ccdf", "ci_low", "ci_high"], rows)
-    return stdout, files
+    config = {"n": n_list, "m": m, "trials": trials, "seed": seed,
+              "schemes": [s.value for s in schemes],
+              "thresholds": [float(t) for t in thresholds]}
+    return "\n".join(lines) + "\n", _curve_files(
+        args, config, curves, ["scheme", "n", "threshold_db", "ccdf", "ci_low", "ci_high"])
 
 
 def _cmd_ber(args) -> tuple[str, dict[str, str]]:
     n = _single_n(args)
-    l = _resolve(args, "l", int, required=True)
-    m = _qam_order(args)
-    trials = _resolve(args, "trials", int, default=1000)
-    seed = _resolve(args, "seed", int, required=True)
-    schemes = _resolve(args, "scheme", _parse_schemes, default=[Scheme.OFDM, Scheme.RPSDM])
-    detectors = _resolve(args, "detector", _parse_detectors, default=[Detector.ZF, Detector.MMSE])
-    snr = _resolve(args, "snr", _parse_grid, default=_parse_grid("0:30:5"))
+    l = _multipath_count(args, n)
+    m = _resolve(args, "m", default=16)
+    trials = _resolve(args, "trials", default=1000)
+    seed = _resolve(args, "seed", required=True)
+    schemes = _resolve(args, "scheme", default=list(Scheme))
+    detectors = _resolve(args, "detector", default=list(Detector))
+    snr = _resolve(args, "snr", default=_parse_grid("0:30:5"))
     workers = _workers(args)
-    if not 1 <= l <= n:
-        raise ConfigError(f"need 1 <= l <= n, got l={l}, n={n}")
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
     constellation = QamConstellation.from_order(m)
-    curves = []
-    for scheme in schemes:
-        for detector in detectors:
-            curves.append(ber_curve(scheme, detector, n, l, constellation,
-                                    snr, trials, seed, workers=workers))
+    curves = [ber_curve(scheme, detector, n, l, constellation, snr, trials, seed,
+                        workers=workers)
+              for scheme in schemes for detector in detectors]
     lines = [f"BER, n={n}, l={l}, {m}-QAM, {trials} trials/point, seed {seed}"]
     for curve in curves:
         summary = " ".join(f"{v:.3e}" for v in curve.values)
         lines.append(f"  {curve.scheme.value:>5}-{curve.detector.value}: {summary}")
-    stdout = "\n".join(lines) + "\n"
-    files = {}
-    output = _resolve(args, "output", str)
-    if output:
-        fmt = _resolve(args, "format", str, default="csv")
-        if fmt == "json":
-            files[output] = _json_text({"command": "ber",
-                                        "config": {"n": n, "l": l, "m": m, "trials": trials,
-                                                   "seed": seed,
-                                                   "schemes": [s.value for s in schemes],
-                                                   "detectors": [d.value for d in detectors],
-                                                   "snr": [float(v) for v in snr]},
-                                        "curves": [_curve_json(c) for c in curves]})
-        else:
-            rows = []
-            for curve in curves:
-                for row in _curve_rows(curve):
-                    rows.append([curve.scheme.value, curve.detector.value,
-                                 curve.n, curve.l, curve.m] + row)
-            files[output] = _csv_text(
-                ["scheme", "detector", "n", "l", "m", "snr_db", "ber", "ci_low", "ci_high"],
-                rows)
-    return stdout, files
+    config = {"n": n, "l": l, "m": m, "trials": trials, "seed": seed,
+              "schemes": [s.value for s in schemes],
+              "detectors": [d.value for d in detectors],
+              "snr": [float(v) for v in snr]}
+    return "\n".join(lines) + "\n", _curve_files(
+        args, config, curves,
+        ["scheme", "detector", "n", "l", "m", "snr_db", "ber", "ci_low", "ci_high"])
 
 
 def _cmd_complexity(args) -> tuple[str, dict[str, str]]:
-    n_list = _resolve(args, "n", _parse_int_list, required=True)
-    rows = []
-    for n in n_list:
-        if n < 1:
-            raise ConfigError(f"n must be >= 1, got {n}")
-        for row in complexity_report(n):
-            rows.append([n, row.operation, row.scheme.value, row.real_mults, row.real_adds])
+    n_list = _resolve(args, "n", required=True)
+    rows = [[n, row.operation, row.scheme.value, row.real_mults, row.real_adds]
+            for n in n_list for row in complexity_report(n)]
     lines = ["real operation counts",
              f"{'n':>6} {'operation':>18} {'scheme':>7} {'mults':>10} {'adds':>10}"]
     for r in rows:
         lines.append(f"{r[0]:>6} {r[1]:>18} {r[2]:>7} {r[3]:>10} {r[4]:>10}")
-    stdout = "\n".join(lines) + "\n"
-    files = {}
-    output = _resolve(args, "output", str)
-    if output:
-        fmt = _resolve(args, "format", str, default="csv")
-        if fmt == "json":
-            payload = {"command": "complexity", "config": {"n": n_list},
-                       "rows": [{"n": r[0], "operation": r[1], "scheme": r[2],
-                                 "real_mults": r[3], "real_adds": r[4]} for r in rows]}
-            files[output] = _json_text(payload)
-        else:
-            files[output] = _csv_text(["n", "operation", "scheme", "real_mults", "real_adds"], rows)
-    return stdout, files
+    header = ["n", "operation", "scheme", "real_mults", "real_adds"]
+    payload = {"command": "complexity", "config": {"n": n_list},
+               "rows": [dict(zip(header, r)) for r in rows]}
+    return "\n".join(lines) + "\n", _table_files(args, header, rows, payload)
 
 
 def _cmd_dump_basis(args) -> tuple[str, dict[str, str]]:
     n = _single_n(args)
-    prefix = _resolve(args, "output", str, required=True)
+    prefix = _resolve(args, "output", required=True)
+    if _resolve(args, "format", default="csv") != "csv":
+        raise ConfigError("dump-basis emits csv only")
     transform = build_transform(n)
     et_text = "\n".join(",".join(str(int(v)) for v in row) for row in transform.e_t) + "\n"
     qnorm_text = "\n".join(_fmt(v) for v in transform.q_norm) + "\n"
@@ -414,49 +405,18 @@ def _cmd_dump_basis(args) -> tuple[str, dict[str, str]]:
     return stdout, files
 
 
-# ---------------------------------------------------------------------------
-# shared argument resolution
-
-
-def _single_n(args) -> int:
-    n_list = _resolve(args, "n", _parse_int_list, required=True)
-    if len(n_list) != 1:
-        raise ConfigError("this command takes a single block length")
-    if n_list[0] < 1:
-        raise ConfigError(f"n must be >= 1, got {n_list[0]}")
-    return n_list[0]
-
-
-def _qam_order(args) -> int:
-    m = _resolve(args, "m", int, default=16)
-    if m not in VALID_QAM_ORDERS:
-        raise ConfigError(f"m must be one of {VALID_QAM_ORDERS}, got {m}")
-    return m
-
-
-def _workers(args) -> int:
-    value = _resolve(args, "workers", int)
-    if value is None:
-        env = os.environ.get("RPSDM_THREADS")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"RPSDM_THREADS must be an integer, got {env!r}") from exc
-    value = 1 if value is None else value
-    if value < 1:
-        raise ConfigError(f"worker count must be >= 1, got {value}")
-    return value
-
-
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "decompose": _cmd_decompose,
-    "papr-worst": _cmd_papr_worst,
-    "papr-ccdf": _cmd_papr_ccdf,
-    "ber": _cmd_ber,
-    "complexity": _cmd_complexity,
-    "dump-basis": _cmd_dump_basis,
+#: command: (handler, help, options beyond config, n, output and format)
+COMMANDS = {
+    "spectrum": (_cmd_spectrum, "per-subspace DFT magnitude spectra", ()),
+    "decompose": (_cmd_decompose, "effective channel and structure report",
+                  ("seed", "l", "scheme")),
+    "papr-worst": (_cmd_papr_worst, "closed-form worst-case PAPR table", ("m",)),
+    "papr-ccdf": (_cmd_papr_ccdf, "Monte Carlo PAPR CCDF curves",
+                  ("seed", "thresholds", "m", "trials", "scheme")),
+    "ber": (_cmd_ber, "Monte Carlo BER curves",
+            ("seed", "snr", "l", "m", "trials", "scheme", "detector", "workers")),
+    "complexity": (_cmd_complexity, "operation-count table", ()),
+    "dump-basis": (_cmd_dump_basis, "write E_t, normalization, E_r as CSV", ()),
 }
 
 
@@ -465,41 +425,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="rpsdm",
         description="RPSDM / OFDM link experiments with deterministic, reproducible output.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *, seeded=False, grids=()):
-        p.add_argument("--config", help="flat key = value config file; flags override")
-        p.add_argument("--n", type=_parse_int_list, help="block length(s), comma separated")
-        p.add_argument("--output", help="output file path (prefix for dump-basis)")
-        p.add_argument("--format", choices=("csv", "json"), help="output file format")
-        if seeded:
-            p.add_argument("--seed", type=int, help="master RNG seed (required)")
-        for grid in grids:
-            p.add_argument(grid[0], type=grid[1], help=grid[2])
-
-    add_common(sub.add_parser("spectrum", help="per-subspace DFT magnitude spectra"))
-    p = sub.add_parser("decompose", help="effective channel and structure report")
-    add_common(p, seeded=True)
-    p.add_argument("--l", type=int, help="multipath count")
-    p.add_argument("--scheme", type=_parse_schemes, help="ofdm or rpsdm")
-    p = sub.add_parser("papr-worst", help="closed-form worst-case PAPR table")
-    add_common(p)
-    p.add_argument("--m", type=int, help="QAM order (4, 16, 64)")
-    p = sub.add_parser("papr-ccdf", help="Monte Carlo PAPR CCDF curves")
-    add_common(p, seeded=True,
-               grids=(("--thresholds", _parse_grid, "dB grid start:stop:step or list"),))
-    p.add_argument("--m", type=int, help="QAM order (4, 16, 64)")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials (default 100000)")
-    p.add_argument("--scheme", type=_parse_schemes, help="ofdm, rpsdm, or both")
-    p = sub.add_parser("ber", help="Monte Carlo BER curves")
-    add_common(p, seeded=True, grids=(("--snr", _parse_grid, "SNR dB grid start:stop:step or list"),))
-    p.add_argument("--l", type=int, help="multipath count")
-    p.add_argument("--m", type=int, help="QAM order (4, 16, 64)")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials per SNR point")
-    p.add_argument("--scheme", type=_parse_schemes, help="ofdm, rpsdm, or both")
-    p.add_argument("--detector", type=_parse_detectors, help="zf, mmse, or both")
-    p.add_argument("--workers", type=int, help="trial worker threads (or RPSDM_THREADS)")
-    add_common(sub.add_parser("complexity", help="operation-count table"))
-    add_common(sub.add_parser("dump-basis", help="write E_t, normalization, E_r as CSV"))
+    for command, (_, help_text, extra) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for key in ("config", "n", "output", "format") + extra:
+            p.add_argument(f"--{key}", help=OPTIONS[key][1],
+                           type=functools.partial(_parse, key, error=argparse.ArgumentTypeError))
     return parser
 
 
@@ -511,7 +441,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         args.file_config = read_config_file(args.config) if args.config else None
-        stdout, files = _HANDLERS[args.command](args)
+        stdout, files = COMMANDS[args.command][0](args)
         for path, text in files.items():
             _write_atomic(path, text)
         sys.stdout.write(stdout)

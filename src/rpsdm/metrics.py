@@ -19,7 +19,7 @@ from .detection import (Detector, DetectorSpec, QamConstellation, SingularChanne
                         equalize, qam_demap, qam_map)
 from .number_theory import divisor_set, is_power_of_two, totient
 from .ramanujan import ramanujan_sum
-from .transforms import Scheme, fast_flops, make_plan, modulate, demodulate
+from .transforms import Scheme, direct_flops, fast_flops, make_plan, modulate, demodulate
 
 #: binomial 95% confidence half-width multiplier
 _CI_Z = 1.96
@@ -234,14 +234,14 @@ def complexity_report(n: int) -> list[ComplexityRow]:
     fast paths when n is a power of two, and the per-block receiver."""
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
-    rows = [
-        ComplexityRow("modulator_direct", Scheme.OFDM, 4 * n * n, 2 * n * (2 * n - 1)),
-        ComplexityRow("modulator_direct", Scheme.RPSDM, 2 * n * n, 2 * n * (n - 1)),
-    ]
+    counts = {"modulator_direct": direct_flops}
     if is_power_of_two(n):
+        counts["modulator_fast"] = fast_flops
+    rows = []
+    for operation, flops in counts.items():
         for scheme in (Scheme.OFDM, Scheme.RPSDM):
-            fc = fast_flops(scheme, n)
-            rows.append(ComplexityRow("modulator_fast", scheme, fc.real_mults, fc.real_adds))
+            fc = flops(scheme, n)
+            rows.append(ComplexityRow(operation, scheme, fc.real_mults, fc.real_adds))
     layout = divisor_set(n)
     block_mults = 4 * sum(phi * phi for _, phi, _ in layout.blocks())
     block_adds = sum(2 * phi * (2 * phi - 1) for _, phi, _ in layout.blocks())

@@ -176,16 +176,9 @@ def sparse_irpt(transform: PeriodicTransform, symbols: np.ndarray) -> tuple[np.n
     symbols = np.asarray(symbols)
     if symbols.shape != (n,):
         raise ValueError(f"expected {n} symbols, got shape {symbols.shape}")
-    out = np.zeros(n, dtype=np.result_type(symbols.dtype, np.float64))
-    forward = transform.forward
-    for row in range(n):
-        cols = np.nonzero(transform.e_t[row])[0]
-        out[row] = (forward[row, cols] * symbols[cols]).sum()
-    tau = int(math.log2(n)) + 1
-    cm = n * tau
-    ca = n * (tau - 1)
-    return out, FlopCount(complex_mults=cm, complex_adds=ca,
-                          real_mults=2 * cm, real_adds=2 * ca)
+    cols = np.nonzero(transform.e_t)[1].reshape(n, -1)  # each row's tau nonzero columns
+    out = (np.take_along_axis(transform.forward, cols, 1) * symbols[cols]).sum(axis=1)
+    return out, fast_flops(Scheme.RPSDM, n)
 
 
 def direct_flops(scheme: Scheme, n: int) -> FlopCount:

@@ -96,6 +96,11 @@ class TestDumpBasisCommand:
                         for line in open(prefix + "_er.csv")])
         np.testing.assert_allclose(e_r, transform.e_r, rtol=1e-15)
 
+    def test_rejects_json(self, tmp_path):
+        prefix = tmp_path / "basis"
+        assert run("dump-basis", "--n", "4", "--output", str(prefix), "--format", "json") == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDecomposeCommand:
     def test_json_report(self, tmp_path):
@@ -186,6 +191,78 @@ class TestConfigFile:
         cfg.write_text("n 8\n")
         assert run("spectrum", "--config", str(cfg)) == 2
 
+    @pytest.mark.parametrize("command, entries", [
+        ("ber", "n = 8\nseed = 1\nl = abc\n"),
+        ("ber", "n = 8\nl = 2\nseed = 1\ntrials = 1.5\n"),
+        ("papr-worst", "n = 8\nm = x\n"),
+        ("papr-ccdf", "n = 8\nseed = 1\ntrials = 10\nscheme = qpsk\n"),
+        ("papr-worst", "n = 8\nformat = xml\n"),
+    ], ids=["l", "trials", "m", "scheme", "format"])
+    def test_entries_are_parsed_like_flags(self, tmp_path, capsys, command, entries):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(entries)
+        out = tmp_path / "never.csv"
+        assert run(command, "--config", str(cfg), "--output", str(out)) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+
+#: one small run per command that writes a table or report file
+LAYOUT_RUNS = {
+    "spectrum": ("spectrum", "--n", "4"),
+    "papr-worst": ("papr-worst", "--n", "4"),
+    "complexity": ("complexity", "--n", "4"),
+    "papr-ccdf": ("papr-ccdf", "--n", "4", "--trials", "5", "--seed", "1",
+                  "--thresholds", "0,3"),
+    "ber": ("ber", "--n", "4", "--l", "2", "--trials", "2", "--seed", "1", "--snr", "10"),
+    "decompose": ("decompose", "--n", "4", "--l", "2", "--seed", "1", "--scheme", "rpsdm"),
+}
+
+_CURVE_KEYS = ["config", "grid", "values", "ci_low", "ci_high", "metadata"]
+
+
+class TestFileLayout:
+    """Header lines and JSON key orders (top level, config, first row, curve or
+    report) as the files have always had them; json.dumps keeps insertion
+    order, so a reordered payload changes the bytes."""
+
+    @pytest.mark.parametrize("command, fmt, expected", [
+        ("spectrum", "csv", "q,k,magnitude"),
+        ("spectrum", "json", [["command", "config", "subspaces"], ["n"],
+                              ["q", "subcarriers", "support", "magnitude"]]),
+        ("papr-worst", "csv", "n,scheme,worst_case_papr_db"),
+        ("papr-worst", "json", [["command", "config", "rows"], ["n", "m"],
+                                ["n", "scheme", "papr_db"]]),
+        ("complexity", "csv", "n,operation,scheme,real_mults,real_adds"),
+        ("complexity", "json", [["command", "config", "rows"], ["n"],
+                                ["n", "operation", "scheme", "real_mults", "real_adds"]]),
+        ("papr-ccdf", "csv", "scheme,n,threshold_db,ccdf,ci_low,ci_high"),
+        ("papr-ccdf", "json", [["command", "config", "curves"],
+                               ["n", "m", "trials", "seed", "schemes", "thresholds"],
+                               _CURVE_KEYS]),
+        ("ber", "csv", "scheme,detector,n,l,m,snr_db,ber,ci_low,ci_high"),
+        ("ber", "json", [["command", "config", "curves"],
+                         ["n", "l", "m", "trials", "seed", "schemes", "detectors", "snr"],
+                         _CURVE_KEYS]),
+        ("decompose", "json", [["command", "config", "taps", "matrix_real", "matrix_imag",
+                                "report"], ["n", "l", "seed", "scheme"],
+                               ["structure", "off_block_residual", "stair_block_ok", "blocks"]]),
+    ])
+    def test_layout(self, tmp_path, command, fmt, expected):
+        out = tmp_path / f"out.{fmt}"
+        assert run(*LAYOUT_RUNS[command], "--output", str(out), "--format", fmt) == 0
+        text = out.read_text()
+        if fmt == "csv":
+            assert text.splitlines()[0] == expected
+            return
+        payload = json.loads(text)
+        first = next((payload[key][0] for key in ("rows", "curves", "subspaces")
+                      if key in payload), payload.get("report"))
+        assert [list(payload), list(payload["config"]), list(first)] == expected
+        if "curves" in payload:
+            assert list(first["config"]) == ["scheme", "detector", "n", "l", "m",
+                                             "trials", "seed", "grid"]
+
 
 class TestConfigErrors:
     def test_missing_seed(self, tmp_path):
@@ -201,9 +278,16 @@ class TestConfigErrors:
         ("papr-ccdf", "--n", "8", "--seed", "1", "--thresholds", "junk"),
         ("spectrum", "--n", "8,16"),
         ("complexity", "--n", "0"),
+        ("papr-ccdf", "--n", "8", "--trials", "10", "--seed", "-1"),
     ])
     def test_invalid_configs_exit_2(self, argv):
         assert run(*argv) == 2
+
+    @pytest.mark.parametrize("threads", ["0", "two"])
+    def test_bad_thread_variable_exits_2(self, monkeypatch, threads):
+        monkeypatch.setenv("RPSDM_THREADS", threads)
+        assert run("ber", "--n", "8", "--l", "2", "--seed", "1", "--trials", "1",
+                   "--snr", "10") == 2
 
     def test_unknown_command_exits_2(self, capsys):
         assert run("frobnicate") == 2
