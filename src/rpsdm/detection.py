@@ -21,11 +21,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channel import EffectiveChannel
-from .transforms import Scheme
+from .transforms import Scheme, _real_matvec
 
 
 class Detector(enum.Enum):
@@ -59,14 +60,6 @@ class DetectorSpec:
     @classmethod
     def mmse(cls, sigma2: float) -> "DetectorSpec":
         return cls(kind=Detector.MMSE, zeta=float(sigma2))
-
-
-def _real_matvec(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Real matrix times complex vector as one real gemm on the (n, 2) view
-    of v, instead of a complex product that first copies the matrix to
-    complex."""
-    v = np.ascontiguousarray(v, dtype=np.complex128)
-    return (matrix @ v.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
 
 
 def equalize(spec: DetectorSpec, eff: EffectiveChannel, y: np.ndarray) -> np.ndarray:
@@ -140,6 +133,22 @@ class QamConstellation:
         amp = self.side - 1
         return complex(amp, amp)
 
+    @cached_property
+    def label_points(self) -> np.ndarray:
+        """Raw point of every k-bit label: the first half of the label picks
+        the in-phase Gray index, the second half the quadrature one."""
+        half = self.bits_per_symbol // 2
+        labels = np.arange(self.m)
+        idx_i = _gray_decode(labels >> half)
+        idx_q = _gray_decode(labels & (self.side - 1))
+        amp = lambda idx: 2 * idx + 1 - self.side
+        return amp(idx_i) + 1j * amp(idx_q)
+
+    @cached_property
+    def axis_bits(self) -> np.ndarray:
+        """Gray bits (MSB first) of every per-axis amplitude index, side x k/2."""
+        return _ints_to_bits(_gray_encode(np.arange(self.side)), self.bits_per_symbol // 2)
+
     @classmethod
     def from_order(cls, m: int) -> "QamConstellation":
         side = math.isqrt(m)
@@ -185,16 +194,10 @@ def qam_map(bits: np.ndarray, constellation: QamConstellation,
     k = constellation.bits_per_symbol
     if bits.ndim != 1 or bits.size % k != 0:
         raise ValueError(f"bit count must be a multiple of {k}")
-    if not ((bits == 0) | (bits == 1)).all():
+    if (bits >> 1).any():  # zero exactly for 0 and 1
         raise ValueError("bits must be 0/1")
-    groups = bits.reshape(-1, k)
-    half = k // 2
-    side = constellation.side
-    idx_i = _gray_decode(_bits_to_ints(groups[:, :half]))
-    idx_q = _gray_decode(_bits_to_ints(groups[:, half:]))
-    amp = lambda idx: 2 * idx + 1 - side
-    symbols = amp(idx_i) + 1j * amp(idx_q)
-    return symbols * constellation.unit_scale if normalize else symbols.astype(np.complex128)
+    symbols = constellation.label_points[_bits_to_ints(bits.reshape(-1, k))]
+    return symbols * constellation.unit_scale if normalize else symbols
 
 
 def qam_demap(symbols: np.ndarray, constellation: QamConstellation,
@@ -204,11 +207,8 @@ def qam_demap(symbols: np.ndarray, constellation: QamConstellation,
     if normalize:
         symbols = symbols / constellation.unit_scale
     side = constellation.side
-    half = constellation.bits_per_symbol // 2
-
-    def axis_bits(values: np.ndarray) -> np.ndarray:
-        idx = np.clip(np.rint((values + side - 1) / 2.0), 0, side - 1).astype(np.int64)
-        return _ints_to_bits(_gray_encode(idx), half)
-
-    bits = np.concatenate([axis_bits(symbols.real), axis_bits(symbols.imag)], axis=1)
-    return bits.ravel()
+    axes = np.ascontiguousarray(symbols).view(np.float64).reshape(-1, 2)
+    idx = np.clip(np.rint((axes + side - 1) / 2.0), 0, side - 1).astype(np.int64)
+    # a NaN estimate casts to an arbitrary integer; the clipping take keeps
+    # it in range, where it decides index 0 as the per-axis route did
+    return constellation.axis_bits.take(idx, axis=0, mode="clip").ravel()

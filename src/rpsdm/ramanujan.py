@@ -18,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .number_theory import DivisorSet, divisor_set, gcd, is_power_of_two, mobius, totient
+from .number_theory import (DivisorSet, divisor_set, divisors, gcd, is_power_of_two, mobius,
+                            totient)
 
 #: residual ceiling for the demodulation pair, ||e_r @ forward - I||_max
 INVERSE_RESIDUAL_TOL = 1e-9
@@ -46,10 +47,9 @@ def ramanujan_sum(q: int) -> RamanujanSum:
     """Exact integer Ramanujan sum of period q via the Mobius identity."""
     if q < 1:
         raise ValueError(f"ramanujan_sum requires q >= 1, got {q}")
-    values = np.empty(q, dtype=np.int64)
-    for n in range(q):
-        g = gcd(n, q) if n else q
-        values[n] = sum(d * mobius(q // d) for d in range(1, g + 1) if g % d == 0)
+    values = np.zeros(q, dtype=np.int64)
+    for d in divisors(q):
+        values[::d] += d * mobius(q // d)  # d | gcd(n, q) exactly on the rows n = 0 mod d
     return RamanujanSum(q=q, values=values)
 
 
@@ -57,10 +57,8 @@ def circulant_integer_matrix(q: int) -> np.ndarray:
     """q x q integer matrix whose first column is c_q, subsequent columns circular
     down-shifts. Its column space is the rank-phi(q) Ramanujan subspace."""
     c = ramanujan_sum(q).values
-    out = np.empty((q, q), dtype=np.int64)
-    for j in range(q):
-        out[:, j] = np.roll(c, j)
-    return out
+    rows = np.arange(q)
+    return c[(rows[:, None] - rows) % q]
 
 
 @dataclass(frozen=True)
@@ -81,11 +79,8 @@ def subspace_basis(q: int, n_total: int) -> SubspaceBasis:
     if n_total % q != 0:
         raise ValueError(f"q={q} must divide n_total={n_total}")
     c = ramanujan_sum(q).values
-    phi = totient(q)
-    mat = np.empty((n_total, phi), dtype=np.int64)
     rows = np.arange(n_total)
-    for l in range(phi):
-        mat[:, l] = c[(rows - l) % q]
+    mat = c[(rows[:, None] - np.arange(totient(q))) % q]
     return SubspaceBasis(q=q, n_total=n_total, matrix=mat)
 
 

@@ -2,7 +2,8 @@
 
 The dense matrix route is the reference implementation; ``fft_unitary`` and
 ``sparse_irpt`` are the fast paths for power-of-two block lengths and are
-validated against it in the test suite.
+validated against it in the test suite. RPSDM's real matrices meet complex
+symbols as one real gemm on the (n, 2) float view of the vector.
 
 Flop counters reproduce the published closed forms under one fixed costing:
 a complex*complex multiply is 4 real multiplies + 2 real adds, a complex add
@@ -83,12 +84,27 @@ def make_plan(scheme: Scheme, n: int, power: float | None = None,
                          transform=transform)
 
 
+def _real_matvec(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Real matrix times complex vector as one real gemm on the (n, 2) view
+    of v, instead of a complex product that first copies the matrix to
+    complex."""
+    v = np.ascontiguousarray(v, dtype=np.complex128)
+    return (matrix @ v.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
+
+
+def _apply(plan: ModulatorPlan, matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """matrix @ v, as a real gemm when a real RPSDM matrix meets complex v."""
+    if plan.scheme is Scheme.RPSDM and np.iscomplexobj(v):
+        return _real_matvec(matrix, v)
+    return matrix @ v
+
+
 def modulate(plan: ModulatorPlan, symbols: np.ndarray) -> np.ndarray:
     """Time-domain block power_scale * forward @ symbols."""
     symbols = np.asarray(symbols)
     if symbols.shape != (plan.n,):
         raise ValueError(f"expected {plan.n} symbols, got shape {symbols.shape}")
-    return plan.power_scale * (plan.forward @ symbols)
+    return plan.power_scale * _apply(plan, plan.forward, symbols)
 
 
 def demodulate(plan: ModulatorPlan, block: np.ndarray) -> np.ndarray:
@@ -96,7 +112,7 @@ def demodulate(plan: ModulatorPlan, block: np.ndarray) -> np.ndarray:
     block = np.asarray(block)
     if block.shape != (plan.n,):
         raise ValueError(f"expected block of length {plan.n}, got shape {block.shape}")
-    return (plan.inverse @ block) / plan.power_scale
+    return _apply(plan, plan.inverse, block) / plan.power_scale
 
 
 def synthesize_by_subspaces(transform: PeriodicTransform, symbols: np.ndarray,

@@ -322,3 +322,96 @@ class TestQamMapping:
         for bad in (2, -1):
             with pytest.raises(ValueError, match="0/1"):
                 qam_map(np.array([0, bad, 1, 1]), qam)
+
+
+def per_axis_qam_map(bits: np.ndarray, qam: QamConstellation, normalize: bool = True):
+    """The per-axis Gray route that ``qam_map``'s label table replaced: each
+    axis's bits to an integer, Gray-decoded to an amplitude index."""
+    k, half, side = qam.bits_per_symbol, qam.bits_per_symbol // 2, qam.side
+    groups = np.asarray(bits, dtype=np.int64).reshape(-1, k)
+
+    def index(axis_bits):
+        code = axis_bits @ (1 << np.arange(half - 1, -1, -1))
+        out, shift = code.copy(), code >> 1
+        while np.any(shift):
+            out ^= shift
+            shift >>= 1
+        return out
+
+    amp = lambda idx: 2 * idx + 1 - side
+    symbols = amp(index(groups[:, :half])) + 1j * amp(index(groups[:, half:]))
+    return symbols * qam.unit_scale if normalize else symbols.astype(np.complex128)
+
+
+def per_axis_qam_demap(symbols: np.ndarray, qam: QamConstellation, normalize: bool = True):
+    """The per-axis route that ``qam_demap``'s bit table replaced."""
+    symbols = np.asarray(symbols, dtype=np.complex128)
+    if normalize:
+        symbols = symbols / qam.unit_scale
+    side, half = qam.side, qam.bits_per_symbol // 2
+
+    def axis_bits(values):
+        idx = np.clip(np.rint((values + side - 1) / 2.0), 0, side - 1).astype(np.int64)
+        code = idx ^ (idx >> 1)
+        return (code[:, None] >> np.arange(half - 1, -1, -1)) & 1
+
+    return np.concatenate([axis_bits(symbols.real), axis_bits(symbols.imag)], axis=1).ravel()
+
+
+class TestQamTables:
+    """The table-driven map and demap are byte-identical to the per-axis route."""
+
+    ORDERS = [4, 16, 64, 256]
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("m", ORDERS)
+    def test_map_matches_per_axis_route(self, m, normalize):
+        qam = QamConstellation.from_order(m)
+        k = qam.bits_per_symbol
+        every_label = (np.arange(m)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+        bits = np.concatenate([every_label.ravel(),
+                               np.random.default_rng(m).integers(0, 2, 300 * k)])
+        got = qam_map(bits, qam, normalize=normalize)
+        expected = per_axis_qam_map(bits, qam, normalize=normalize)
+        assert got.dtype == expected.dtype == np.complex128
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("m", ORDERS)
+    def test_demap_matches_per_axis_route(self, m, normalize):
+        qam = QamConstellation.from_order(m)
+        side = qam.side
+        scale = qam.unit_scale if normalize else 1.0
+        rng = np.random.default_rng(100 + m)
+        spread = (side + 2) * scale
+        random = spread * (rng.standard_normal(500) + 1j * rng.standard_normal(500))
+        # decision boundaries on the raw grid sit at the even integers
+        edges = np.arange(-side - 2, side + 3, 2.0)
+        halfway = (edges[:, None] + 1j * edges[None, :]).ravel() * scale
+        infinite = np.array([complex(re, im) for re in (np.inf, -np.inf, 0.0)
+                             for im in (np.inf, -np.inf, 1.0)])
+        for estimates in (random, halfway, infinite):
+            with np.errstate(invalid="ignore"):  # inf / scale puts NaN on the other axis
+                got = qam_demap(estimates, qam, normalize=normalize)
+                expected = per_axis_qam_demap(estimates, qam, normalize=normalize)
+            assert got.dtype == expected.dtype == np.int64
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("m", ORDERS)
+    def test_nan_demaps_to_the_zero_label(self, m):
+        # a NaN axis decides index 0, whose Gray bits are all zero; on the raw
+        # grid the other axis keeps its decision, while normalizing divides
+        # the complex estimate, which spreads the NaN to both axes
+        qam = QamConstellation.from_order(m)
+        half = qam.bits_per_symbol // 2
+        corner = qam.side - 1.0
+        other = qam_demap(np.array([complex(corner, corner)]), qam, normalize=False)[:half]
+        with np.errstate(invalid="ignore"):
+            raw = qam_demap(np.array([complex(np.nan, corner), complex(corner, np.nan)]),
+                            qam, normalize=False)
+            normalized = qam_demap(np.array([complex(np.nan, 1.0)]), qam)
+        zero = [0] * half
+        assert other.tolist() != zero
+        assert raw.reshape(2, 2, half).tolist() == [[zero, other.tolist()],
+                                                    [other.tolist(), zero]]
+        assert normalized.tolist() == zero * 2

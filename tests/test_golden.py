@@ -1,0 +1,106 @@
+"""Golden bytes: the sha256 of every output file and of stdout for a fixed set
+of CLI runs, recorded before a refactor that must not change them.
+
+A change meant to alter output bytes updates ``GOLDEN`` (print the new table
+with ``PYTHONPATH=src python tests/test_golden.py``) and says so in
+CHANGES.md. ``decompose`` and ``spectrum`` are left out: their full-precision
+floats carry ulp-level differences between BLAS builds.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+import pytest
+
+from rpsdm.cli import main
+
+RUNS = {
+    "ber-n128": ["ber", "--n", "128", "--l", "8", "--m", "16", "--snr", "0:30:10",
+                 "--trials", "20", "--seed", "1", "--scheme", "both",
+                 "--detector", "both", "--output", "ber.csv"],
+    "ber-n96-json": ["ber", "--n", "96", "--l", "8", "--m", "16", "--snr", "0:30:10",
+                     "--trials", "10", "--seed", "3", "--format", "json",
+                     "--output", "ber.json"],
+    "ber-n12-qam64": ["ber", "--n", "12", "--l", "4", "--m", "64", "--snr", "0:30:5",
+                      "--trials", "40", "--seed", "5", "--output", "ber.csv"],
+    "papr-ccdf": ["papr-ccdf", "--n", "64,128", "--m", "16", "--trials", "2000",
+                  "--seed", "1", "--thresholds", "0:14:0.25", "--output", "ccdf.csv"],
+    "dump-basis": ["dump-basis", "--n", "16", "--output", "basis"],
+    "papr-worst": ["papr-worst", "--n", "8,16,32,64,128,256,512", "--m", "16",
+                   "--output", "worst.csv"],
+    "complexity": ["complexity", "--n", "4,16,64,256", "--output", "complexity.csv"],
+}
+
+GOLDEN = {
+    'ber-n12-qam64': {
+        'stdout': '7da047c6b29ea6db9bca5daaa652bcd03bcfe14a801bd68663b6fc21ce4a2e6d',
+        'ber.csv': '0dcb10785fc8649ebc2254563335a2a9e6884c393fdff8f67fa12c4246f75ef6',
+    },
+    'ber-n128': {
+        'stdout': '3389fd40107aa81378ea840c609c13e1c42003980671d5a8bd77dfd593aa5be0',
+        'ber.csv': 'f1b8c411d8de67682af37ea2c0ec8e7eaab17561039249a10ef644170619fb80',
+    },
+    'ber-n96-json': {
+        'stdout': 'c815f0b6fc02c81e153346b4c0db54af46250cc93ab0622d0e5c4bbda54e1fdf',
+        'ber.json': '0d4a2b4f14f5fd26646dac8293903df91591dea321dff45c6a931256dba17bcf',
+    },
+    'complexity': {
+        'stdout': '99208376f9045d8ecf36e7342aa481061a8974080e2042833671bc9fb59d96a4',
+        'complexity.csv': 'b1bcf51b335d210c12b71266380248f28693a53e5f9ac9d14b6cec2878d82ec3',
+    },
+    'dump-basis': {
+        'stdout': '8c9660ede0b89b99f871fceabdd929cf1d2a23510156435b029bafda07114c88',
+        'basis_er.csv': '135670edde5b1fda64d7c2221495b87e3c676f4655aaf036134aae7ff67fded0',
+        'basis_et.csv': 'dea28979a54feb367cd9b32b070925867bf7a096056c38916007f855ba6da166',
+        'basis_qnorm.csv': '97860881c9eb7ea36e63959a8b319814aa39cf7bf9b04ea1afa15b8d05e4727a',
+    },
+    'papr-ccdf': {
+        'stdout': '7a6e96d0b77d1125f4722a0497511fe4cab194945ba79c69726b0af269494cef',
+        'ccdf.csv': '8ae9bef348262c4885bdbf4f49f7d09cb353c14e8001c8c3c5d60b451589f23c',
+    },
+    'papr-worst': {
+        'stdout': '353696ad3ec1a13b70b407e93df35def1aee2a74d4fc97d713af290615c3e397',
+        'worst.csv': '938f85c5fbbd4305e17117c5a1bafd59ecedf21506ca1402ec6df06678f6a54b',
+    },
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _digests(argv: list[str], directory: str) -> dict[str, str]:
+    """Run ``argv`` in ``directory``; digest of stdout and of every file the
+    run wrote there."""
+    stdout = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(stdout):
+            assert main(list(argv)) == 0
+    finally:
+        os.chdir(cwd)
+    out = {"stdout": _sha(stdout.getvalue().encode())}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            out[name] = _sha(fh.read())
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_output_bytes_unchanged(name, tmp_path):
+    assert _digests(RUNS[name], str(tmp_path)) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for name in sorted(RUNS):
+        with tempfile.TemporaryDirectory() as directory:
+            print(f"    {name!r}: {{")
+            for key, value in _digests(RUNS[name], directory).items():
+                print(f"        {key!r}: {value!r},")
+            print("    },")
+    print("}")

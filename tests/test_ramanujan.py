@@ -161,6 +161,16 @@ class TestSubspaceBasis:
         for q, n in ((4, 8), (6, 12), (8, 16)):
             assert np.linalg.matrix_rank(subspace_basis(q, n).matrix) == totient(q)
 
+    @pytest.mark.parametrize("n", list(range(1, 65)) + [96, 128])
+    def test_matches_column_definition(self, n):
+        # column l holds c_q[(row - l) mod q], entry by entry, for every q | n
+        for q in (d for d in range(1, n + 1) if n % d == 0):
+            c = ramanujan_sum(q).values
+            expected = [[c[(row - l) % q] for l in range(totient(q))] for row in range(n)]
+            mat = subspace_basis(q, n).matrix
+            assert mat.dtype == np.int64
+            assert mat.tolist() == expected
+
     def test_rejects_non_divisor(self):
         with pytest.raises(ValueError):
             subspace_basis(3, 8)

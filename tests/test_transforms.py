@@ -78,6 +78,39 @@ class TestDemodulate:
             demodulate(plan, np.ones(9))
 
 
+class TestModemProducts:
+    """RPSDM's real-gemm modem against the dense complex product."""
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 96, 128, 512])
+    def test_rpsdm_complex_matches_dense_product(self, n):
+        for power in (None, 3.0 * n):
+            plan = make_plan(Scheme.RPSDM, n, power=power)
+            s = random_symbols(n, n)
+            for got, expected in (
+                    (modulate(plan, s), plan.power_scale * (plan.forward.astype(complex) @ s)),
+                    (demodulate(plan, s), (plan.inverse.astype(complex) @ s) / plan.power_scale)):
+                assert got.dtype == np.complex128
+                assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("n", [1, 12, 128])
+    def test_rpsdm_real_symbols_stay_real(self, n):
+        plan = make_plan(Scheme.RPSDM, n, power=2.0 * n)
+        s = np.random.default_rng(n).standard_normal(n)
+        x = modulate(plan, s)
+        assert x.dtype == np.float64
+        assert np.array_equal(x, plan.power_scale * (plan.forward @ s))
+        y = demodulate(plan, s)
+        assert y.dtype == np.float64
+        assert np.array_equal(y, (plan.inverse @ s) / plan.power_scale)
+
+    @pytest.mark.parametrize("n", [1, 12, 128])
+    def test_ofdm_is_the_dense_product(self, n):
+        plan = make_plan(Scheme.OFDM, n, power=2.0 * n)
+        s = random_symbols(n, n)
+        assert np.array_equal(modulate(plan, s), plan.power_scale * (plan.forward @ s))
+        assert np.array_equal(demodulate(plan, s), (plan.inverse @ s) / plan.power_scale)
+
+
 class TestSubspaceSynthesisRoute:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 12, 16, 64])
     def test_matches_matrix_route(self, n):
