@@ -5,8 +5,9 @@ Every value a command needs can come from a ``key = value`` config file
 (``--config``); command-line flags override file entries. Both go through
 the same parser, declared once per option in ``OPTIONS``. Stochastic
 commands require an explicit ``--seed`` (no wall-clock seeding) and rerunning
-with the same configuration produces byte-identical files regardless of the
-worker count (RPSDM_THREADS or ``--workers``).
+with the same configuration produces byte-identical files. BER trials run
+serially; ``--workers`` and RPSDM_THREADS are still validated but select
+nothing.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -114,7 +115,9 @@ OPTIONS = {
     "trials": (_parse_at_least(1), "Monte Carlo trials (per SNR point for ber)"),
     "scheme": (_parse_both(Scheme), "ofdm, rpsdm, or both (decompose: one)"),
     "detector": (_parse_both(Detector), "zf, mmse, or both"),
-    "workers": (_parse_at_least(1), "trial worker threads (or RPSDM_THREADS)"),
+    "workers": (_parse_at_least(1),
+                "accepted and validated (>= 1, or RPSDM_THREADS) but unused: "
+                "trials run serially"),
 }
 
 
@@ -172,14 +175,14 @@ def _multipath_count(args, n: int) -> int:
     return l
 
 
-def _workers(args) -> int:
-    value = _resolve(args, "workers")
-    if value is not None:
-        return value
-    try:
-        return OPTIONS["workers"][0](os.environ.get("RPSDM_THREADS", "1"))
-    except ValueError as exc:
-        raise ConfigError(f"RPSDM_THREADS: {exc}") from exc
+def _check_workers(args) -> None:
+    """Validate ``--workers`` (or, without it, RPSDM_THREADS); the count
+    selects nothing."""
+    if _resolve(args, "workers") is None:
+        try:
+            OPTIONS["workers"][0](os.environ.get("RPSDM_THREADS", "1"))
+        except ValueError as exc:
+            raise ConfigError(f"RPSDM_THREADS: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +359,9 @@ def _cmd_ber(args) -> tuple[str, dict[str, str]]:
     schemes = _resolve(args, "scheme", default=list(Scheme))
     detectors = _resolve(args, "detector", default=list(Detector))
     snr = _resolve(args, "snr", default=_parse_grid("0:30:5"))
-    workers = _workers(args)
+    _check_workers(args)
     constellation = QamConstellation.from_order(m)
-    curves = [ber_curve(scheme, detector, n, l, constellation, snr, trials, seed,
-                        workers=workers)
+    curves = [ber_curve(scheme, detector, n, l, constellation, snr, trials, seed)
               for scheme in schemes for detector in detectors]
     lines = [f"BER, n={n}, l={l}, {m}-QAM, {trials} trials/point, seed {seed}"]
     for curve in curves:

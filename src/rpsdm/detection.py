@@ -190,11 +190,14 @@ def qam_map(bits: np.ndarray, constellation: QamConstellation,
             normalize: bool = True) -> np.ndarray:
     """Gray-labelled bits to complex symbols (first half of each symbol's
     bits drives the in-phase axis, second half the quadrature axis)."""
-    bits = np.asarray(bits, dtype=np.int64)
+    raw = np.asarray(bits)
+    bits = raw.astype(np.int64, copy=False)
     k = constellation.bits_per_symbol
     if bits.ndim != 1 or bits.size % k != 0:
         raise ValueError(f"bit count must be a multiple of {k}")
-    if (bits >> 1).any():  # zero exactly for 0 and 1
+    # bits >> 1 is zero exactly for 0 and 1; a non-integer input must also
+    # survive the cast, or 0.5 would pass as its truncation 0
+    if (bits >> 1).any() or (raw.dtype.kind not in "biu" and not np.array_equal(bits, raw)):
         raise ValueError("bits must be 0/1")
     symbols = constellation.label_points[_bits_to_ints(bits.reshape(-1, k))]
     return symbols * constellation.unit_scale if normalize else symbols

@@ -2,13 +2,12 @@
 
 Monte Carlo determinism: every trial draws from its own stream seeded by
 (master seed, curve point index, trial index, attempt), so curves are
-bit-identical regardless of chunking or worker count. SNR is Es/N0 with
-unit-power symbols: sigma^2 = 10^(-SNR/10).
+bit-identical regardless of chunking. SNR is Es/N0 with unit-power
+symbols: sigma^2 = 10^(-SNR/10).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, field
 
@@ -187,7 +186,7 @@ def _ber_trial(plan, constellation, detector: Detector, l: int, sigma2: float,
 
 def ber_curve(scheme: Scheme, detector: Detector, n: int, l: int,
               constellation: QamConstellation, snr_grid_db: np.ndarray,
-              trials: int, seed: int, workers: int = 1) -> CurveResult:
+              trials: int, seed: int) -> CurveResult:
     """Bit error rate per SNR point over fresh channel, symbols, and noise
     per trial. Exactly singular ZF draws are resampled and counted."""
     if trials < 1:
@@ -202,17 +201,11 @@ def ber_curve(scheme: Scheme, detector: Detector, n: int, l: int,
 
     for p, snr_db in enumerate(snr_grid_db):
         sigma2 = 10.0 ** (-snr_db / 10.0)
-
-        def run(t: int, _p: int = p, _s2: float = sigma2) -> tuple[int, int]:
-            return _ber_trial(plan, constellation, detector, l, _s2, (seed, _p, t))
-
-        if workers > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(run, range(trials)))
-        else:
-            outcomes = [run(t) for t in range(trials)]
-        errors = sum(e for e, _ in outcomes)
-        resamples += sum(r for _, r in outcomes)
+        errors = 0
+        for t in range(trials):
+            e, r = _ber_trial(plan, constellation, detector, l, sigma2, (seed, p, t))
+            errors += e
+            resamples += r
         values[p] = errors / (trials * bits_per_trial)
 
     ci_low, ci_high = _binomial_ci(values, trials * bits_per_trial)

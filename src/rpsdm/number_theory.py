@@ -17,6 +17,23 @@ def gcd(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
+def _factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 as ascending (prime, exponent) pairs."""
+    factors = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
+        p += 1
+    if n > 1:
+        factors.append((n, 1))
+    return factors
+
+
 def totient(q: int) -> int:
     """Euler totient: count of l in [1, q] with gcd(l, q) = 1.
 
@@ -25,16 +42,8 @@ def totient(q: int) -> int:
     if q < 1:
         raise ValueError(f"totient requires q >= 1, got {q}")
     result = q
-    m = q
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p, _ in _factorize(q):
+        result -= result // p
     return result
 
 
@@ -42,21 +51,10 @@ def mobius(n: int) -> int:
     """Mobius function: (-1)^k for squarefree n with k prime factors, else 0."""
     if n < 1:
         raise ValueError(f"mobius requires n >= 1, got {n}")
-    if n == 1:
-        return 1
-    result = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if m > 1:
-        result = -result
-    return result
+    factors = _factorize(n)
+    if any(e > 1 for _, e in factors):
+        return 0
+    return -1 if len(factors) % 2 else 1
 
 
 def divisors(n: int) -> list[int]:
@@ -78,20 +76,7 @@ def divisor_count(n: int) -> int:
     """Number-of-divisors function tau(n) = prod(m_p + 1) over n = prod p^m_p."""
     if n < 1:
         raise ValueError(f"divisor_count requires n >= 1, got {n}")
-    count = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            exp = 0
-            while m % p == 0:
-                m //= p
-                exp += 1
-            count *= exp + 1
-        p += 1
-    if m > 1:
-        count *= 2
-    return count
+    return math.prod(e + 1 for _, e in _factorize(n))
 
 
 def is_power_of_two(n: int) -> bool:

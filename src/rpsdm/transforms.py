@@ -1,9 +1,10 @@
 """Block modulation and demodulation for the two schemes, plus flop accounting.
 
-The dense matrix route is the reference implementation; ``fft_unitary`` and
-``sparse_irpt`` are the fast paths for power-of-two block lengths and are
-validated against it in the test suite. RPSDM's real matrices meet complex
-symbols as one real gemm on the (n, 2) float view of the vector.
+The modem is the dense matrix route at unit total-power scaling: OFDM's
+unitary DFT matrices, and RPSDM's real matrices meeting complex symbols as
+one real gemm on the (n, 2) float view of the vector. ``sparse_irpt`` and
+``synthesize_by_subspaces`` are test oracles that the dense route must
+agree with; ``sparse_irpt`` also carries the sparse op count.
 
 Flop counters reproduce the published closed forms under one fixed costing:
 a complex*complex multiply is 4 real multiplies + 2 real adds, a complex add
@@ -47,41 +48,25 @@ def ofdm_synthesis_matrix(n: int) -> np.ndarray:
 class ModulatorPlan:
     """Precomputed operators for one (scheme, block length) pair.
 
-    ``power_scale`` is sqrt(P/N); the default total power P = N keeps it at 1
-    so the noise variance parameterizes SNR directly.
+    The total block power is N, so symbols and samples share one scale and
+    the noise variance parameterizes SNR directly.
     """
 
     scheme: Scheme
     n: int
-    power: float
-    power_scale: float
     forward: np.ndarray
     inverse: np.ndarray
     transform: PeriodicTransform | None
 
 
-def make_plan(scheme: Scheme, n: int, power: float | None = None,
-              transform: PeriodicTransform | None = None) -> ModulatorPlan:
+def make_plan(scheme: Scheme, n: int) -> ModulatorPlan:
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
-    power = float(n) if power is None else float(power)
-    if power <= 0:
-        raise ValueError(f"total power must be positive, got {power}")
     if scheme is Scheme.OFDM:
         forward = ofdm_synthesis_matrix(n)
-        inverse = forward.conj().T
-        transform = None
-    else:
-        if transform is None:
-            transform = build_transform(n)
-        elif transform.n != n:
-            raise ValueError(f"transform length {transform.n} != n={n}")
-        forward = transform.forward
-        inverse = transform.e_r
-    return ModulatorPlan(scheme=scheme, n=n, power=power,
-                         power_scale=math.sqrt(power / n),
-                         forward=forward, inverse=inverse,
-                         transform=transform)
+        return ModulatorPlan(scheme, n, forward, forward.conj().T, None)
+    transform = build_transform(n)
+    return ModulatorPlan(scheme, n, transform.forward, transform.e_r, transform)
 
 
 def _real_matvec(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -100,11 +85,11 @@ def _apply(plan: ModulatorPlan, matrix: np.ndarray, v: np.ndarray) -> np.ndarray
 
 
 def modulate(plan: ModulatorPlan, symbols: np.ndarray) -> np.ndarray:
-    """Time-domain block power_scale * forward @ symbols."""
+    """Time-domain block forward @ symbols."""
     symbols = np.asarray(symbols)
     if symbols.shape != (plan.n,):
         raise ValueError(f"expected {plan.n} symbols, got shape {symbols.shape}")
-    return plan.power_scale * _apply(plan, plan.forward, symbols)
+    return _apply(plan, plan.forward, symbols)
 
 
 def demodulate(plan: ModulatorPlan, block: np.ndarray) -> np.ndarray:
@@ -112,11 +97,10 @@ def demodulate(plan: ModulatorPlan, block: np.ndarray) -> np.ndarray:
     block = np.asarray(block)
     if block.shape != (plan.n,):
         raise ValueError(f"expected block of length {plan.n}, got shape {block.shape}")
-    return _apply(plan, plan.inverse, block) / plan.power_scale
+    return _apply(plan, plan.inverse, block)
 
 
-def synthesize_by_subspaces(transform: PeriodicTransform, symbols: np.ndarray,
-                            power_scale: float = 1.0) -> np.ndarray:
+def synthesize_by_subspaces(transform: PeriodicTransform, symbols: np.ndarray) -> np.ndarray:
     """Alternative synthesis x(n) = sum over divisors of the per-subspace
     expansions; must agree with the single-matrix route."""
     symbols = np.asarray(symbols)
@@ -128,10 +112,12 @@ def synthesize_by_subspaces(transform: PeriodicTransform, symbols: np.ndarray,
         weight = 1.0 / np.sqrt(n * phi)
         for l in range(phi):
             x = x + weight * symbols[offset + l] * c[(rows - l) % q]
-    return power_scale * x
+    return x
 
 
 def _fft_flops(n: int) -> FlopCount:
+    """Radix-2 FFT counts: the textbook (N/2)log2 N complex multiplies and
+    N log2 N complex adds."""
     stages = int(math.log2(n))
     cm = (n // 2) * stages
     ca = n * stages
@@ -139,53 +125,11 @@ def _fft_flops(n: int) -> FlopCount:
                      real_mults=4 * cm, real_adds=2 * cm + 2 * ca)
 
 
-def fft_unitary(x: np.ndarray, direction: str = "forward") -> tuple[np.ndarray, FlopCount]:
-    """Radix-2 decimation-in-time FFT, unitary in both directions.
-
-    Forward matches the dense DFT row convention e^{-j 2 pi k n / N}/sqrt(N);
-    inverse conjugates the twiddles. Counts are the textbook (N/2)log2 N
-    complex multiplies and N log2 N complex adds.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[0]
-    if not is_power_of_two(n):
-        raise ValueError(f"fft_unitary requires a power-of-two length, got {n}")
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    sign = -1.0 if direction == "forward" else 1.0
-
-    # bit-reversal permutation
-    out = x.copy()
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            out[i], out[j] = out[j], out[i]
-
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddle = np.exp(sign * 2j * np.pi * np.arange(half) / size)
-        blocks = out.reshape(n // size, size)
-        even = blocks[:, :half]
-        odd = blocks[:, half:] * twiddle
-        total, diff = even + odd, even - odd
-        blocks[:, :half] = total
-        blocks[:, half:] = diff
-        size *= 2
-    return out / np.sqrt(n), _fft_flops(n)
-
-
 def sparse_irpt(transform: PeriodicTransform, symbols: np.ndarray) -> tuple[np.ndarray, FlopCount]:
     """Inverse transform exploiting the tau(N) = log2(N)+1 nonzeros per row
     of the integer basis when N is a power of two.
 
-    Returns the same vector as the dense product forward @ symbols (without
-    any power scaling)."""
+    Returns the same vector as the dense product forward @ symbols."""
     n = transform.n
     if not is_power_of_two(n):
         raise ValueError(f"sparse path requires a power-of-two length, got {n}")

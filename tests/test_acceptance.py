@@ -6,7 +6,6 @@ they are part of the default run.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -171,13 +170,12 @@ BER_TRIALS = 1563  # 2e5 symbols per point (criterion floor is 1e5)
 
 @pytest.fixture(scope="module")
 def ber_curves():
-    workers = min(4, os.cpu_count() or 1)
     curves = {}
     for scheme in (Scheme.OFDM, Scheme.RPSDM):
         for detector in (Detector.ZF, Detector.MMSE):
             curves[(scheme, detector)] = ber_curve(
                 scheme, detector, BER_N, BER_L, QAM16, BER_SNR, BER_TRIALS,
-                BER_SEED, workers=workers)
+                BER_SEED)
     return curves
 
 

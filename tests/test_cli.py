@@ -166,6 +166,20 @@ class TestDeterminism:
         assert main(argv + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("workers, code", [("1", 0), ("2", 0), ("0", 2)])
+    def test_workers_flag_is_validated_and_selects_nothing(self, tmp_path, monkeypatch,
+                                                            workers, code):
+        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+        argv = ["ber", "--n", "8", "--l", "3", "--snr", "5,15", "--trials", "25",
+                "--seed", "12"]
+        monkeypatch.delenv("RPSDM_THREADS", raising=False)
+        assert main(argv + ["--output", str(plain)]) == 0
+        assert main(argv + ["--workers", workers, "--output", str(flagged)]) == code
+        if code == 0:
+            assert flagged.read_bytes() == plain.read_bytes()
+        else:
+            assert not flagged.exists()
+
 
 class TestConfigFile:
     def test_file_supplies_values_and_flags_override(self, tmp_path):

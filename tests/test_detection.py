@@ -322,6 +322,9 @@ class TestQamMapping:
         for bad in (2, -1):
             with pytest.raises(ValueError, match="0/1"):
                 qam_map(np.array([0, bad, 1, 1]), qam)
+        # fractional bits must not pass as their int64 truncation [0, 1, 1, 0]
+        with pytest.raises(ValueError, match="0/1"):
+            qam_map(np.array([0.5, 1.9, 1, 0]), qam)
 
 
 def per_axis_qam_map(bits: np.ndarray, qam: QamConstellation, normalize: bool = True):

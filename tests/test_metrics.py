@@ -144,16 +144,6 @@ class TestBerCurve:
                           np.array([200.0]), trials=50, seed=6)
         assert curve.values[0] == 0.0
 
-    @pytest.mark.parametrize("scheme", [Scheme.OFDM, Scheme.RPSDM])
-    def test_deterministic_across_workers(self, scheme):
-        # for RPSDM the pool threads share one transform's lazily built maps
-        kwargs = dict(n=16, l=4, constellation=QAM16,
-                      snr_grid_db=np.array([5.0, 15.0]), trials=30, seed=7)
-        serial = ber_curve(scheme, Detector.MMSE, workers=1, **kwargs)
-        threaded = ber_curve(scheme, Detector.MMSE, workers=3, **kwargs)
-        np.testing.assert_array_equal(serial.values, threaded.values)
-        assert serial.metadata == threaded.metadata
-
     def test_monotone_in_snr_within_band(self):
         curve = ber_curve(Scheme.OFDM, Detector.ZF, 16, 4, QAM16,
                           np.arange(0.0, 30.0, 5.0), trials=150, seed=8)

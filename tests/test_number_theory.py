@@ -39,7 +39,7 @@ class TestTotient:
     def test_one(self):
         assert totient(1) == 1
 
-    @pytest.mark.parametrize("q,expected", [(8, 4), (12, 4)])
+    @pytest.mark.parametrize("q,expected", [(8, 4), (12, 4), (1, 1), (720, 192), (4096, 2048)])
     def test_derived_values(self, q, expected):
         assert totient_brute(q) == expected
         assert totient(q) == expected
@@ -110,7 +110,7 @@ class TestDivisorSet:
 
 
 class TestDivisorCount:
-    @pytest.mark.parametrize("n,expected", [(4, 3), (1, 1), (12, 6)])
+    @pytest.mark.parametrize("n,expected", [(4, 3), (1, 1), (12, 6), (720, 30), (4096, 13)])
     def test_examples(self, n, expected):
         assert len(divisors_brute(n)) == expected
         assert divisor_count(n) == expected

@@ -1,4 +1,4 @@
-"""Tests for modulation/demodulation, the fast paths, and flop accounting."""
+"""Tests for modulation/demodulation, the sparse oracle, and flop accounting."""
 
 import math
 
@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from rpsdm.detection import QamConstellation
-from rpsdm.ramanujan import build_transform, dft_support, ramanujan_sum
-from rpsdm.transforms import (Scheme, demodulate, direct_flops, fast_flops, fft_unitary,
-                              make_plan, modulate, ofdm_synthesis_matrix, sparse_irpt,
-                              synthesize_by_subspaces)
+from rpsdm.ramanujan import build_transform
+from rpsdm.transforms import (Scheme, demodulate, direct_flops, fast_flops, make_plan,
+                              modulate, sparse_irpt, synthesize_by_subspaces)
 
 
 def random_symbols(n: int, seed: int) -> np.ndarray:
@@ -83,32 +82,30 @@ class TestModemProducts:
 
     @pytest.mark.parametrize("n", [1, 2, 12, 96, 128, 512])
     def test_rpsdm_complex_matches_dense_product(self, n):
-        for power in (None, 3.0 * n):
-            plan = make_plan(Scheme.RPSDM, n, power=power)
-            s = random_symbols(n, n)
-            for got, expected in (
-                    (modulate(plan, s), plan.power_scale * (plan.forward.astype(complex) @ s)),
-                    (demodulate(plan, s), (plan.inverse.astype(complex) @ s) / plan.power_scale)):
-                assert got.dtype == np.complex128
-                assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        plan = make_plan(Scheme.RPSDM, n)
+        s = random_symbols(n, n)
+        for got, expected in ((modulate(plan, s), plan.forward.astype(complex) @ s),
+                              (demodulate(plan, s), plan.inverse.astype(complex) @ s)):
+            assert got.dtype == np.complex128
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @pytest.mark.parametrize("n", [1, 12, 128])
     def test_rpsdm_real_symbols_stay_real(self, n):
-        plan = make_plan(Scheme.RPSDM, n, power=2.0 * n)
+        plan = make_plan(Scheme.RPSDM, n)
         s = np.random.default_rng(n).standard_normal(n)
         x = modulate(plan, s)
         assert x.dtype == np.float64
-        assert np.array_equal(x, plan.power_scale * (plan.forward @ s))
+        assert np.array_equal(x, plan.forward @ s)
         y = demodulate(plan, s)
         assert y.dtype == np.float64
-        assert np.array_equal(y, (plan.inverse @ s) / plan.power_scale)
+        assert np.array_equal(y, plan.inverse @ s)
 
     @pytest.mark.parametrize("n", [1, 12, 128])
     def test_ofdm_is_the_dense_product(self, n):
-        plan = make_plan(Scheme.OFDM, n, power=2.0 * n)
+        plan = make_plan(Scheme.OFDM, n)
         s = random_symbols(n, n)
-        assert np.array_equal(modulate(plan, s), plan.power_scale * (plan.forward @ s))
-        assert np.array_equal(demodulate(plan, s), (plan.inverse @ s) / plan.power_scale)
+        assert np.array_equal(modulate(plan, s), plan.forward @ s)
+        assert np.array_equal(demodulate(plan, s), plan.inverse @ s)
 
 
 class TestSubspaceSynthesisRoute:
@@ -117,64 +114,17 @@ class TestSubspaceSynthesisRoute:
         plan = make_plan(Scheme.RPSDM, n)
         for trial in range(10):
             s = random_symbols(n, 77 * n + trial)
-            via_sum = synthesize_by_subspaces(plan.transform, s, plan.power_scale)
+            via_sum = synthesize_by_subspaces(plan.transform, s)
             np.testing.assert_allclose(via_sum, modulate(plan, s), atol=1e-9)
 
 
 class TestPowerScale:
-    def test_default_unit_scale(self):
-        assert make_plan(Scheme.OFDM, 16).power_scale == 1.0
-
-    def test_custom_power(self):
-        plan = make_plan(Scheme.RPSDM, 8, power=16.0)
-        assert plan.power_scale == pytest.approx(math.sqrt(2.0))
-        s = random_symbols(8, 5)
-        np.testing.assert_allclose(demodulate(plan, modulate(plan, s)), s, atol=1e-9)
-
     def test_parseval_ofdm(self):
-        for power in (8.0, 16.0):
-            plan = make_plan(Scheme.OFDM, 16, power=power)
-            s = random_symbols(16, 9)
-            x = modulate(plan, s)
-            energy = np.sum(np.abs(x) ** 2)
-            assert energy == pytest.approx(power / 16 * np.sum(np.abs(s) ** 2), rel=1e-9)
-
-
-class TestFftUnitary:
-    def test_impulse(self):
-        out, _ = fft_unitary(np.array([1.0, 0, 0, 0]), "forward")
-        np.testing.assert_allclose(out, 0.5 * np.ones(4), atol=1e-12)
-
-    def test_tiled_ramanujan_support(self):
-        tiled = ramanujan_sum(4).tiled(8).astype(complex)
-        out, _ = fft_unitary(tiled, "forward")
-        support = dft_support(4, 8)
-        assert support == {2, 6}
-        for k in range(8):
-            if k in support:
-                assert abs(out[k]) > 1.0
-            else:
-                assert abs(out[k]) < 1e-9
-
-    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64, 128])
-    def test_matches_dense_unitary_dft(self, n):
-        x = random_symbols(n, n)
-        dense = ofdm_synthesis_matrix(n).conj().T @ x
-        out, _ = fft_unitary(x, "forward")
-        np.testing.assert_allclose(out, dense, atol=1e-9)
-        back, _ = fft_unitary(out, "inverse")
-        np.testing.assert_allclose(back, x, atol=1e-9)
-
-    def test_flop_counts_n16(self):
-        _, flops = fft_unitary(np.ones(16, dtype=complex), "forward")
-        assert flops.complex_mults == 32
-        assert flops.complex_adds == 64
-
-    def test_rejects_bad_length_and_direction(self):
-        with pytest.raises(ValueError):
-            fft_unitary(np.ones(6, dtype=complex))
-        with pytest.raises(ValueError):
-            fft_unitary(np.ones(8, dtype=complex), "sideways")
+        plan = make_plan(Scheme.OFDM, 16)
+        s = random_symbols(16, 9)
+        x = modulate(plan, s)
+        energy = np.sum(np.abs(x) ** 2)
+        assert energy == pytest.approx(np.sum(np.abs(s) ** 2), rel=1e-9)
 
 
 class TestSparseIrpt:
@@ -210,13 +160,12 @@ class TestFlopClosedForms:
     def test_fast(self, n):
         stages = int(math.log2(n))
         ofdm = fast_flops(Scheme.OFDM, n)
+        assert (ofdm.complex_mults, ofdm.complex_adds) == (n // 2 * stages, n * stages)
         assert (ofdm.real_mults, ofdm.real_adds) == (2 * n * stages, 3 * n * stages)
         rpsdm = fast_flops(Scheme.RPSDM, n)
         assert (rpsdm.real_mults, rpsdm.real_adds) == (2 * n * (stages + 1), 2 * n * stages)
 
     def test_fast_counts_match_op_reports(self):
-        got, flops = fft_unitary(np.ones(64, dtype=complex))
-        assert flops == fast_flops(Scheme.OFDM, 64)
         _, flops = sparse_irpt(build_transform(64), np.ones(64, dtype=complex))
         assert flops == fast_flops(Scheme.RPSDM, 64)
 
