@@ -25,6 +25,10 @@ and e_t^T @ H_cir @ e_t remain the reference: the tests and the
 For power-of-two N the bases differ only by a block-constant scale, so the
 zero/nonzero structure is identical. For other N the normalized inverse-path
 blocks stay block diagonal but are not Toeplitz in general.
+
+The framing, ``transmit`` and ``effective_channel`` also take a batch with
+rows first (one frame, tap row and noise draw per row), giving each row the
+bytes of its own call.
 """
 
 from __future__ import annotations
@@ -43,14 +47,15 @@ STRUCTURE_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """L complex multipath gains for a length-N block (L <= N)."""
+    """L complex multipath gains for a length-N block (L <= N), or one row of
+    L gains per block of a batch."""
 
     taps: np.ndarray
     n: int
 
     @property
     def l(self) -> int:
-        return self.taps.shape[0]
+        return self.taps.shape[-1]
 
 
 def draw_channel(rng, l: int, n: int) -> ChannelRealization:
@@ -67,45 +72,69 @@ def draw_channel(rng, l: int, n: int) -> ChannelRealization:
 
 
 def add_cp(x: np.ndarray, l: int) -> np.ndarray:
-    """Prepend the block's last l-1 samples; frame length becomes N + l - 1."""
+    """Prepend the block's last l-1 samples (of each row of a batch); frame
+    length becomes N + l - 1."""
     x = np.asarray(x)
-    if l > x.shape[0]:
-        raise ValueError(f"path count l={l} exceeds block length {x.shape[0]}")
+    if l > x.shape[-1]:
+        raise ValueError(f"path count l={l} exceeds block length {x.shape[-1]}")
     if l < 1:
         raise ValueError(f"path count must be >= 1, got {l}")
     if l == 1:
         return x.copy()
-    return np.concatenate([x[-(l - 1):], x])
+    return np.concatenate([x[..., -(l - 1):], x], axis=-1)
 
 
 def remove_cp(frame: np.ndarray, l: int) -> np.ndarray:
-    """Drop the first l-1 received samples of the frame."""
+    """Drop the first l-1 received samples of the frame (of each row)."""
     if l < 1:
         raise ValueError(f"path count must be >= 1, got {l}")
-    return np.asarray(frame)[l - 1:]
+    return np.asarray(frame)[..., l - 1:]
 
 
-def transmit(x_cp: np.ndarray, ch: ChannelRealization, sigma2: float,
-             rng=None) -> np.ndarray:
+def awgn(rng: np.random.Generator, k: int, sigma2: float) -> np.ndarray:
+    """k samples of complex AWGN with total variance sigma2 per sample: k real
+    parts, then k imaginary parts, each of variance sigma2 / 2."""
+    return (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * np.sqrt(sigma2 / 2.0)
+
+
+def transmit(x_cp: np.ndarray, ch: ChannelRealization, sigma2, rng=None,
+             noise: np.ndarray | None = None) -> np.ndarray:
     """Tapped-delay-line output y[n] = sum_l h_l x_cp[n-l] + w[n].
 
     The linear convolution is truncated to the frame length; AWGN with total
-    variance sigma2 per complex sample is added across the whole frame.
-    After CP removal the noise-free output equals the circulant product.
+    variance sigma2 per complex sample is added across the whole frame, drawn
+    from ``rng`` by ``awgn`` unless ``noise`` gives it already drawn. After
+    CP removal the noise-free output equals the circulant product.
+
+    A batch passes each row of ``x_cp`` through the matching row of
+    ``ch.taps``; ``sigma2`` is then one variance per row, and ``noise`` holds
+    each noisy row's ``awgn`` draw (rows with sigma2 = 0 get none).
     """
     x_cp = np.asarray(x_cp)
-    k = x_cp.shape[0]
+    k = x_cp.shape[-1]
     if k != ch.n + ch.l - 1:
         raise ValueError(f"frame length {k} != n + l - 1 = {ch.n + ch.l - 1}")
-    y = np.convolve(x_cp, ch.taps)[:k]
-    if sigma2 < 0:
+    if x_cp.ndim == 1:
+        y = np.convolve(x_cp, ch.taps)[:k]
+    else:
+        y = np.empty(x_cp.shape, dtype=np.result_type(x_cp, ch.taps))
+        for r, (frame, taps) in enumerate(zip(x_cp, ch.taps)):
+            y[r] = np.convolve(frame, taps)[:k]
+    variance = np.asarray(sigma2)
+    if (variance < 0).any():
         raise ValueError(f"noise variance must be >= 0, got {sigma2}")
-    if sigma2 > 0:
+    noisy = variance > 0
+    if noise is None and noisy.any():
         if rng is None:
             raise ValueError("an rng is required when sigma2 > 0")
+        if x_cp.ndim != 1:
+            raise ValueError("a batch takes each row's noise already drawn (awgn)")
         rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-        w = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * np.sqrt(sigma2 / 2.0)
-        y = y + w
+        noise = awgn(rng, k, sigma2)
+    if noisy.all():
+        y = y + noise
+    elif noisy.any():
+        y[noisy] += noise[noisy]
     return y
 
 
@@ -133,6 +162,9 @@ class EffectiveChannel:
     first read and then kept, and ``block(i)`` before that computes only its
     own phi(q_i) x phi(q_i) block. ``EffectiveChannel(scheme, matrix,
     layout)`` gives a channel from an explicit matrix, with no gains.
+
+    A batch of channels carries one row of gains per block (or a stack of
+    matrices); ``matrix`` and ``block(i)`` then gain the same leading axis.
     """
 
     def __init__(self, scheme: Scheme, matrix: np.ndarray | None = None,
@@ -150,21 +182,27 @@ class EffectiveChannel:
         self._matrix = None if matrix is None else np.asarray(matrix)
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        """Shape of the demodulated input: (N,), or (rows, N) for a batch."""
+        return self.gains.shape if self._matrix is None else self._matrix.shape[:-1]
+
+    @property
     def n(self) -> int:
-        return (self.gains if self._matrix is None else self._matrix).shape[0]
+        return self.shape[-1]
 
     @property
     def matrix(self) -> np.ndarray:
         """Dense N x N effective channel; off-block entries exactly zero."""
         if self._matrix is None:
+            matrix = np.zeros(self.shape + (self.n,), dtype=np.complex128)
             if self.layout is None:
-                self._matrix = np.diag(self.gains)
+                diagonal = np.arange(self.n)
+                matrix[..., diagonal, diagonal] = self.gains
             else:
-                matrix = np.zeros((self.n, self.n), dtype=np.complex128)
                 for i in range(len(self.layout)):
                     s = self.layout.block_slice(i)
-                    matrix[s, s] = self.block(i)
-                self._matrix = matrix
+                    matrix[..., s, s] = self.block(i)
+            self._matrix = matrix
         return self._matrix
 
     def block(self, i: int) -> np.ndarray:
@@ -173,9 +211,9 @@ class EffectiveChannel:
             raise ValueError("block views only exist for the subspace scheme")
         s = self.layout.block_slice(i)
         if self._matrix is not None:
-            return self._matrix[s, s]
+            return self._matrix[..., s, s]
         m = self.transform.subspace_maps[i]
-        shaped = self.gains[m.bins, None] * m.a
+        shaped = self.gains[..., m.bins, None] * m.a
         if self.basis == "normalized":
             return m.a_inv @ shaped
         inv_w = 1.0 / self.transform.q_norm[s]
@@ -198,10 +236,11 @@ def effective_channel(scheme: Scheme, ch: ChannelRealization,
     A_q^{-1} diag(H_q) A_q (``basis="normalized"``, equal to
     e_r @ H_cir @ forward) or diag(1/w) A_q^H diag(H_q) A_q diag(1/w) / N
     (``basis="integer"``, equal to e_t.T @ H_cir @ e_t, the worked-fixture
-    route), with H_q = H[supp q] and w = q_norm on the block.
+    route), with H_q = H[supp q] and w = q_norm on the block. A batch of
+    realizations (rows of taps) gives a batch of channels, one row of H each.
     """
-    taps = np.zeros(ch.n, dtype=np.complex128)
-    taps[:ch.l] = ch.taps
+    taps = np.zeros(ch.taps.shape[:-1] + (ch.n,), dtype=np.complex128)
+    taps[..., :ch.l] = ch.taps
     gains = np.fft.fft(taps)
     if scheme is Scheme.OFDM:
         return EffectiveChannel(scheme, gains=gains)

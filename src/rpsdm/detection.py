@@ -13,7 +13,9 @@ take the per-block solve of the regularized normal equations, which is
 also the reference the tests hold the per-bin route to. The route follows from N and the detector
 alone. Bit labels use Gray coding per axis; symbols are normalized to unit
 average energy inside the simulation chain so sigma^2 parameterizes both
-the SNR and the MMSE regularizer.
+the SNR and the MMSE regularizer. ``equalize``, ``qam_map`` and
+``qam_demap`` also take a batch with rows first (the BER engine's (rows, N)
+arrays, with one zeta per row), giving each row the bytes of its own call.
 """
 
 from __future__ import annotations
@@ -35,22 +37,27 @@ class Detector(enum.Enum):
 
 
 class SingularChannelError(RuntimeError):
-    """ZF hit an exactly singular bin or block; carries the offending index."""
+    """ZF hit an exactly singular bin or block; carries the offending index
+    and, for a batch, the rows that hit one."""
 
-    def __init__(self, message: str, where: str):
+    def __init__(self, message: str, where: str, rows: np.ndarray | None = None):
         super().__init__(message)
         self.where = where
+        self.rows = rows
 
 
 @dataclass(frozen=True)
 class DetectorSpec:
+    """Detector kind and regularizer: one zeta, or one per row of a batch."""
+
     kind: Detector
-    zeta: float
+    zeta: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.zeta < 0:
+        zeta = np.asarray(self.zeta)
+        if (zeta < 0).any():
             raise ValueError(f"regularizer must be >= 0, got {self.zeta}")
-        if (self.kind is Detector.ZF) != (self.zeta == 0.0):
+        if ((zeta == 0.0) != (self.kind is Detector.ZF)).any():
             raise ValueError("zeta must be 0 exactly for ZF and positive for MMSE")
 
     @classmethod
@@ -58,46 +65,92 @@ class DetectorSpec:
         return cls(kind=Detector.ZF, zeta=0.0)
 
     @classmethod
-    def mmse(cls, sigma2: float) -> "DetectorSpec":
-        return cls(kind=Detector.MMSE, zeta=float(sigma2))
+    def mmse(cls, sigma2) -> "DetectorSpec":
+        """MMSE at noise variance sigma2, or one variance per row of a batch."""
+        zeta = float(sigma2) if np.ndim(sigma2) == 0 else np.asarray(sigma2, dtype=np.float64)
+        return cls(kind=Detector.MMSE, zeta=zeta)
+
+
+def _zero_bins(denom: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Exact zeros of per-bin denominators (one block, or a batch with rows
+    first): the zero bins of the first singular block and, for a batch,
+    every singular row."""
+    zero = denom == 0.0
+    if zero.ndim == 1:
+        return np.flatnonzero(zero), None
+    rows = np.flatnonzero(zero.any(axis=-1))
+    return np.flatnonzero(zero[rows[0]]), rows
+
+
+def _in_row(rows: np.ndarray | None) -> str:
+    return "" if rows is None else f" in row {rows[0]}"
+
+
+def _singular_rows(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Rows of a stacked solve that LAPACK finds singular (None for one
+    system); only called once the stacked solve has failed."""
+    if gram.ndim == 2:
+        return None
+    rows = []
+    for r in range(gram.shape[0]):
+        try:
+            np.linalg.solve(gram[r], rhs[r])
+        except np.linalg.LinAlgError:
+            rows.append(r)
+    return np.array(rows, dtype=np.int64)
 
 
 def equalize(spec: DetectorSpec, eff: EffectiveChannel, y: np.ndarray) -> np.ndarray:
-    """Recover symbol estimates from the demodulated block y."""
+    """Recover symbol estimates from the demodulated block y, or from each
+    row of y through the matching channel of a batch (zeta scalar or per
+    row). Every row gets the bytes of its own 1-D call."""
     y = np.asarray(y)
     n = eff.n
-    if y.shape != (n,):
-        raise ValueError(f"expected block of length {n}, got shape {y.shape}")
+    if y.shape != eff.shape:
+        expected = f"block of length {n}" if len(eff.shape) == 1 else f"shape {eff.shape}"
+        raise ValueError(f"expected {expected}, got shape {y.shape}")
+    # a per-row zeta broadcasts as a column against the rows of bins
+    zeta = spec.zeta if np.ndim(spec.zeta) == 0 else np.asarray(spec.zeta)[:, None]
     if eff.scheme is Scheme.OFDM:
-        gains = np.diag(eff.matrix) if eff.gains is None else eff.gains
-        denom = np.abs(gains) ** 2 + spec.zeta
+        gains = eff.gains
+        if gains is None:
+            gains = np.diagonal(eff.matrix, axis1=-2, axis2=-1)
+        denom = np.abs(gains) ** 2 + zeta
         if not denom.all():  # only ZF (zeta = 0) can hit a zero
-            k = int(np.flatnonzero(denom == 0.0)[0])
-            raise SingularChannelError(f"zero channel gain at bin {k}", where=f"bin {k}")
+            bins, rows = _zero_bins(denom)
+            k = int(bins[0])
+            raise SingularChannelError(f"zero channel gain at bin {k}{_in_row(rows)}",
+                                       where=f"bin {k}", rows=rows)
         return np.conj(gains) * y / denom
     assert eff.layout is not None
     t = eff.transform
     if eff.gains is not None and eff.basis == "normalized" and (
             spec.kind is Detector.ZF or t.transpose_path):
-        denom = np.abs(eff.gains) ** 2 + spec.zeta
+        denom = np.abs(eff.gains) ** 2 + zeta
         if not denom.all():
+            bins, rows = _zero_bins(denom)
             # bin k lies in block q = N / gcd(k, N); name the first in layout order
-            q = min(n // math.gcd(int(k), n) for k in np.flatnonzero(denom == 0.0))
-            raise SingularChannelError(f"zero channel gain in the block for divisor q={q}",
-                                       where=f"q={q}")
+            q = min(n // math.gcd(int(k), n) for k in bins)
+            raise SingularChannelError(
+                f"zero channel gain in the block for divisor q={q}{_in_row(rows)}",
+                where=f"q={q}", rows=rows)
         weights = np.conj(eff.gains) / denom
         return _real_matvec(t.e_r, np.fft.ifft(weights * np.fft.fft(_real_matvec(t.forward, y))))
-    out = np.empty(n, dtype=np.complex128)
+    out = np.empty(y.shape, dtype=np.complex128)
+    if np.ndim(zeta):
+        zeta = zeta[..., None]  # one regularizer per row's phi x phi gram
     for i, (q, phi, offset) in enumerate(eff.layout.blocks()):
         h = eff.block(i)
-        rhs = h.conj().T @ y[offset:offset + phi]
-        gram = h.conj().T @ h + spec.zeta * np.eye(phi)
+        h_adj = np.swapaxes(h.conj(), -1, -2)
+        rhs = h_adj @ y[..., offset:offset + phi, None]
+        gram = h_adj @ h + zeta * np.eye(phi)
         try:
-            out[offset:offset + phi] = np.linalg.solve(gram, rhs)
+            out[..., offset:offset + phi] = np.linalg.solve(gram, rhs)[..., 0]
         except np.linalg.LinAlgError as exc:
+            rows = _singular_rows(gram, rhs)
             raise SingularChannelError(
-                f"singular block for divisor q={q} (size {phi})", where=f"q={q}"
-            ) from exc
+                f"singular block for divisor q={q} (size {phi}){_in_row(rows)}",
+                where=f"q={q}", rows=rows) from exc
     return out
 
 
@@ -189,29 +242,35 @@ def _ints_to_bits(values: np.ndarray, width: int) -> np.ndarray:
 def qam_map(bits: np.ndarray, constellation: QamConstellation,
             normalize: bool = True) -> np.ndarray:
     """Gray-labelled bits to complex symbols (first half of each symbol's
-    bits drives the in-phase axis, second half the quadrature axis)."""
+    bits drives the in-phase axis, second half the quadrature axis); a
+    (rows, bits) batch maps to (rows, symbols)."""
     raw = np.asarray(bits)
     bits = raw.astype(np.int64, copy=False)
     k = constellation.bits_per_symbol
-    if bits.ndim != 1 or bits.size % k != 0:
+    if bits.ndim not in (1, 2) or bits.shape[-1] % k != 0:
         raise ValueError(f"bit count must be a multiple of {k}")
     # bits >> 1 is zero exactly for 0 and 1; a non-integer input must also
     # survive the cast, or 0.5 would pass as its truncation 0
     if (bits >> 1).any() or (raw.dtype.kind not in "biu" and not np.array_equal(bits, raw)):
         raise ValueError("bits must be 0/1")
-    symbols = constellation.label_points[_bits_to_ints(bits.reshape(-1, k))]
+    labels = _bits_to_ints(bits.reshape(-1, k))
+    symbols = constellation.label_points[labels.reshape(bits.shape[:-1] + (-1,))]
     return symbols * constellation.unit_scale if normalize else symbols
 
 
 def qam_demap(symbols: np.ndarray, constellation: QamConstellation,
               normalize: bool = True) -> np.ndarray:
-    """Nearest-point hard decision back to Gray-labelled bits."""
-    symbols = np.asarray(symbols, dtype=np.complex128)
+    """Nearest-point hard decision back to Gray-labelled bits, per row of a
+    batch. Each axis is scaled and decided on its own, so a non-finite
+    component cannot disturb the other one."""
+    symbols = np.ascontiguousarray(symbols, dtype=np.complex128)
+    axes = symbols.view(np.float64).reshape(*symbols.shape, 2)
     if normalize:
-        symbols = symbols / constellation.unit_scale
+        # bitwise the complex quotient symbols / unit_scale on finite input
+        axes = axes * (1.0 / constellation.unit_scale)
     side = constellation.side
-    axes = np.ascontiguousarray(symbols).view(np.float64).reshape(-1, 2)
     idx = np.clip(np.rint((axes + side - 1) / 2.0), 0, side - 1).astype(np.int64)
     # a NaN estimate casts to an arbitrary integer; the clipping take keeps
     # it in range, where it decides index 0 as the per-axis route did
-    return constellation.axis_bits.take(idx, axis=0, mode="clip").ravel()
+    bits = constellation.axis_bits.take(idx, axis=0, mode="clip")
+    return bits.reshape(symbols.shape[:-1] + (-1,))

@@ -2,8 +2,12 @@
 
 Monte Carlo determinism: every trial draws from its own stream seeded by
 (master seed, curve point index, trial index, attempt), so curves are
-bit-identical regardless of chunking. SNR is Es/N0 with unit-power
-symbols: sigma^2 = 10^(-SNR/10).
+bit-identical regardless of chunking. BER trials run as batches: each
+trial's stream draws its taps, bits and noise, and every later stage runs
+once per chunk of (point, trial) rows on (rows, N) arrays, giving each row
+the bytes of its own 1-D call, so a curve does not depend on the chunk size
+or on which rows share a batch. SNR is Es/N0 with unit-power symbols:
+sigma^2 = 10^(-SNR/10).
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import add_cp, draw_channel, effective_channel, remove_cp, transmit
+from .channel import (ChannelRealization, add_cp, awgn, draw_channel, effective_channel,
+                      remove_cp, transmit)
 from .detection import (Detector, DetectorSpec, QamConstellation, SingularChannelError,
                         equalize, qam_demap, qam_map)
 from .number_theory import divisor_set, is_power_of_two, totient
@@ -25,6 +30,9 @@ _CI_Z = 1.96
 
 #: trials per batched CCDF chunk (fixed so output never depends on memory)
 _CCDF_CHUNK = 2048
+
+#: (SNR point, trial) rows per batched BER chunk (fixed, like _CCDF_CHUNK)
+_BER_CHUNK = 64
 
 #: guard against unbounded resampling on pathological configurations
 _MAX_RESAMPLES_PER_TRIAL = 1000
@@ -158,37 +166,47 @@ def ccdf_crossing(grid_db: np.ndarray, values: np.ndarray, level: float) -> floa
     return float(grid_db[i - 1] + frac * (grid_db[i] - grid_db[i - 1]))
 
 
-def _ber_trial(plan, constellation, detector: Detector, l: int, sigma2: float,
-               seed_key: tuple[int, ...]) -> tuple[int, int]:
-    """One end-to-end trial; returns (bit errors, resamples consumed)."""
+def _ber_trial(plan, constellation, detector: Detector, l: int, sigma2: np.ndarray,
+               seed_keys: list[tuple[int, ...]], attempt: int) -> np.ndarray:
+    """End-to-end trials as one batch, a row per seed key at stream
+    ``attempt`` and noise variance ``sigma2[row]``; returns each row's bit
+    errors. Each row's stream draws its taps, bits and AWGN in that order;
+    every later stage runs once on the (rows, N) arrays. A ZF row that hits
+    an exact zero raises SingularChannelError naming the singular rows."""
     n = plan.n
     bits_per = constellation.bits_per_symbol
-    for attempt in range(_MAX_RESAMPLES_PER_TRIAL):
-        rng = np.random.default_rng([*seed_key, attempt])
-        ch = draw_channel(rng, l, n)
-        bits = rng.integers(0, 2, n * bits_per)
-        symbols = qam_map(bits, constellation)
-        x = modulate(plan, symbols)
-        frame = add_cp(x, l)
-        received = transmit(frame, ch, sigma2, rng)
-        y = remove_cp(received, l)
-        demod = demodulate(plan, y)
-        eff = effective_channel(plan.scheme, ch, plan.transform)
-        spec = DetectorSpec.zf() if detector is Detector.ZF else DetectorSpec.mmse(sigma2)
-        try:
-            estimates = equalize(spec, eff, demod)
-        except SingularChannelError:
-            continue
-        decided = qam_demap(estimates, constellation)
-        return int(np.count_nonzero(decided != bits)), attempt
-    raise RuntimeError(f"exceeded {_MAX_RESAMPLES_PER_TRIAL} singular-channel resamples")
+    frame = n + l - 1
+    rows = len(seed_keys)
+    taps = np.empty((rows, l), dtype=np.complex128)
+    bits = np.empty((rows, n * bits_per), dtype=np.int64)
+    noise = np.empty((rows, frame), dtype=np.complex128)
+    for r, key in enumerate(seed_keys):
+        rng = np.random.default_rng([*key, attempt])
+        taps[r] = draw_channel(rng, l, n).taps
+        bits[r] = rng.integers(0, 2, n * bits_per)
+        if sigma2[r] > 0:
+            noise[r] = awgn(rng, frame, sigma2[r])
+    ch = ChannelRealization(taps=taps, n=n)
+    symbols = qam_map(bits, constellation)
+    x = modulate(plan, symbols)
+    received = transmit(add_cp(x, l), ch, sigma2, noise=noise)
+    demod = demodulate(plan, remove_cp(received, l))
+    eff = effective_channel(plan.scheme, ch, plan.transform)
+    spec = DetectorSpec.zf() if detector is Detector.ZF else DetectorSpec.mmse(sigma2)
+    estimates = equalize(spec, eff, demod)
+    decided = qam_demap(estimates, constellation)
+    return np.count_nonzero(decided != bits, axis=1)
 
 
 def ber_curve(scheme: Scheme, detector: Detector, n: int, l: int,
               constellation: QamConstellation, snr_grid_db: np.ndarray,
               trials: int, seed: int) -> CurveResult:
     """Bit error rate per SNR point over fresh channel, symbols, and noise
-    per trial. Exactly singular ZF draws are resampled and counted."""
+    per trial. Exactly singular ZF draws are resampled and counted.
+
+    The (point, trial) rows run through ``_ber_trial`` in batches of
+    ``_BER_CHUNK``; rows that hit a singular draw are run again on their
+    next attempt's stream, and the others of their batch on the same one."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 1 <= l <= n:
@@ -196,18 +214,31 @@ def ber_curve(scheme: Scheme, detector: Detector, n: int, l: int,
     snr_grid_db = np.asarray(snr_grid_db, dtype=np.float64)
     plan = make_plan(scheme, n)
     bits_per_trial = n * constellation.bits_per_symbol
-    values = np.empty(snr_grid_db.shape[0])
+    points = snr_grid_db.shape[0]
+    sigma2 = np.array([10.0 ** (-snr_db / 10.0) for snr_db in snr_grid_db])
+    errors = np.zeros(points * trials, dtype=np.int64)
     resamples = 0
 
-    for p, snr_db in enumerate(snr_grid_db):
-        sigma2 = 10.0 ** (-snr_db / 10.0)
-        errors = 0
-        for t in range(trials):
-            e, r = _ber_trial(plan, constellation, detector, l, sigma2, (seed, p, t))
-            errors += e
-            resamples += r
-        values[p] = errors / (trials * bits_per_trial)
+    for start in range(0, points * trials, _BER_CHUNK):
+        pending = [(np.arange(start, min(start + _BER_CHUNK, points * trials)), 0)]
+        while pending:
+            rows, attempt = pending.pop()
+            if attempt == _MAX_RESAMPLES_PER_TRIAL:
+                raise RuntimeError(
+                    f"exceeded {_MAX_RESAMPLES_PER_TRIAL} singular-channel resamples")
+            keys = [(seed, *divmod(int(row), trials)) for row in rows]
+            try:
+                errors[rows] = _ber_trial(plan, constellation, detector, l,
+                                          sigma2[rows // trials], keys, attempt)
+            except SingularChannelError as exc:
+                singular = np.zeros(rows.shape, dtype=bool)
+                singular[exc.rows] = True
+                resamples += int(singular.sum())
+                pending.append((rows[singular], attempt + 1))
+                if not singular.all():
+                    pending.append((rows[~singular], attempt))
 
+    values = errors.reshape(points, trials).sum(axis=1) / (trials * bits_per_trial)
     ci_low, ci_high = _binomial_ci(values, trials * bits_per_trial)
     return CurveResult(scheme=scheme, detector=detector, n=n, l=l, m=constellation.m,
                        grid=snr_grid_db, values=values, ci_low=ci_low, ci_high=ci_high,

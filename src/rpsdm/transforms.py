@@ -2,7 +2,9 @@
 
 The modem is the dense matrix route at unit total-power scaling: OFDM's
 unitary DFT matrices, and RPSDM's real matrices meeting complex symbols as
-one real gemm on the (n, 2) float view of the vector. ``sparse_irpt`` and
+one real gemm on the (n, 2) float view of the vector. A (rows, N) batch is
+a stack of those products, one per row, so each row's bytes equal its own
+1-D call. ``sparse_irpt`` and
 ``synthesize_by_subspaces`` are test oracles that the dense route must
 agree with; ``sparse_irpt`` also carries the sparse op count.
 
@@ -70,34 +72,35 @@ def make_plan(scheme: Scheme, n: int) -> ModulatorPlan:
 
 
 def _real_matvec(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Real matrix times complex vector as one real gemm on the (n, 2) view
-    of v, instead of a complex product that first copies the matrix to
-    complex."""
+    """Real matrix times complex vector (or each row of a batch of them) as
+    one real gemm per row on the (n, 2) float view, instead of a complex
+    product that first copies the matrix to complex."""
     v = np.ascontiguousarray(v, dtype=np.complex128)
-    return (matrix @ v.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
+    product = matrix @ v.view(np.float64).reshape(*v.shape, 2)
+    return product.view(np.complex128).reshape(v.shape)
 
 
-def _apply(plan: ModulatorPlan, matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """matrix @ v, as a real gemm when a real RPSDM matrix meets complex v."""
+def _apply(plan: ModulatorPlan, matrix: np.ndarray, v: np.ndarray, what: str) -> np.ndarray:
+    """matrix @ v for one length-N vector or each row of a (rows, N) batch,
+    as a real gemm when a real RPSDM matrix meets complex v. A batch is a
+    stack of matrix-vector products, so every row gets the bytes of its own
+    1-D call."""
+    v = np.asarray(v)
+    if v.ndim not in (1, 2) or v.shape[-1] != plan.n:
+        raise ValueError(f"expected {what}, got shape {v.shape}")
     if plan.scheme is Scheme.RPSDM and np.iscomplexobj(v):
         return _real_matvec(matrix, v)
-    return matrix @ v
+    return (matrix @ v[..., None])[..., 0]
 
 
 def modulate(plan: ModulatorPlan, symbols: np.ndarray) -> np.ndarray:
-    """Time-domain block forward @ symbols."""
-    symbols = np.asarray(symbols)
-    if symbols.shape != (plan.n,):
-        raise ValueError(f"expected {plan.n} symbols, got shape {symbols.shape}")
-    return _apply(plan, plan.forward, symbols)
+    """Time-domain block forward @ symbols, or one block per row of symbols."""
+    return _apply(plan, plan.forward, symbols, f"{plan.n} symbols")
 
 
 def demodulate(plan: ModulatorPlan, block: np.ndarray) -> np.ndarray:
-    """Inverse of modulate: demodulate(modulate(s)) == s."""
-    block = np.asarray(block)
-    if block.shape != (plan.n,):
-        raise ValueError(f"expected block of length {plan.n}, got shape {block.shape}")
-    return _apply(plan, plan.inverse, block)
+    """Inverse of modulate: demodulate(modulate(s)) == s, row by row."""
+    return _apply(plan, plan.inverse, block, f"block of length {plan.n}")
 
 
 def synthesize_by_subspaces(transform: PeriodicTransform, symbols: np.ndarray) -> np.ndarray:

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from rpsdm.channel import (ChannelRealization, EffectiveChannel, add_cp, circulant_from_column,
-                           circulant_matrix, draw_channel, effective_channel,
-                           is_skew_circulant, is_stair_block_diagonal, is_toeplitz,
+from rpsdm.channel import (ChannelRealization, EffectiveChannel, add_cp, awgn,
+                           circulant_from_column, circulant_matrix, draw_channel,
+                           effective_channel, is_skew_circulant, is_stair_block_diagonal, is_toeplitz,
                            remove_cp, structure_report, transmit)
 from rpsdm.number_theory import divisor_set
 from rpsdm.ramanujan import build_transform
@@ -76,6 +76,13 @@ class TestCyclicPrefix:
         with pytest.raises(ValueError):
             add_cp(np.ones(4, dtype=complex), 5)
 
+    def test_batch_rows(self):
+        x = np.arange(16, dtype=complex).reshape(2, 8) + 1j
+        for l in (1, 3, 8):
+            framed = add_cp(x, l)
+            np.testing.assert_array_equal(framed, [add_cp(row, l) for row in x])
+            np.testing.assert_array_equal(remove_cp(framed, l), x)
+
 
 class TestTransmit:
     def test_identity_channel(self):
@@ -107,6 +114,26 @@ class TestTransmit:
         ch = ChannelRealization(taps=np.ones(3, dtype=complex), n=8)
         with pytest.raises(ValueError):
             transmit(np.ones(8, dtype=complex), ch, 0.0)
+
+    def test_batch_rows_equal_one_dimensional_calls(self):
+        # row r of a batch goes through taps[r] with its own pre-drawn noise;
+        # the 1-D call draws that noise from the same stream itself, and a
+        # noise-free row gets none
+        n, l = 12, 4
+        rng = np.random.default_rng(9)
+        taps = rng.standard_normal((3, l)) + 1j * rng.standard_normal((3, l))
+        frames = rng.standard_normal((3, n + l - 1)) + 1j * rng.standard_normal((3, n + l - 1))
+        sigma2 = np.array([0.5, 0.0, 2.0])
+        noise = np.zeros_like(frames)
+        for r in (0, 2):
+            noise[r] = awgn(np.random.default_rng(r), n + l - 1, sigma2[r])
+        batch = transmit(frames, ChannelRealization(taps=taps, n=n), sigma2, noise=noise)
+        for r in range(3):
+            one = transmit(frames[r], ChannelRealization(taps=taps[r], n=n), sigma2[r],
+                           np.random.default_rng(r))
+            assert batch[r].tobytes() == one.tobytes()
+        with pytest.raises(ValueError, match="already drawn"):
+            transmit(frames, ChannelRealization(taps=taps, n=n), sigma2, rng=0)
 
 
 class TestCirculantMatrix:

@@ -150,8 +150,63 @@ class TestPerBinEqualizer:
         with pytest.raises(SingularChannelError) as info:
             equalize(DetectorSpec.zf(), eff, np.ones(n, dtype=complex))
         assert info.value.where == where
+        assert info.value.rows is None
         # MMSE stays defined on the same channel
         assert np.all(np.isfinite(equalize(DetectorSpec.mmse(0.1), eff, np.ones(n))))
+        # in a batch, the error names the block and every singular row
+        rows = np.array([(0.5, 0.25j), taps, (1, 0.5), taps], dtype=complex)
+        for scheme in (Scheme.OFDM, Scheme.RPSDM):
+            batch = effective_channel(scheme, ChannelRealization(taps=rows, n=n),
+                                      build_transform(n))
+            with pytest.raises(SingularChannelError, match="in row 1") as info:
+                equalize(DetectorSpec.zf(), batch, np.ones((4, n), dtype=complex))
+            assert info.value.rows.tolist() == [1, 3]
+            if scheme is Scheme.RPSDM:
+                assert info.value.where == where
+
+    def test_singular_block_solve_names_rows(self):
+        # an explicit-matrix batch takes the per-block solve; a zero block
+        # in row 2 names that row
+        transform = build_transform(6)
+        matrices = np.stack([np.eye(6, dtype=complex)] * 3)
+        matrices[2, 5, 5] = 0.0
+        batch = EffectiveChannel(Scheme.RPSDM, matrices, transform.layout)
+        with pytest.raises(SingularChannelError, match="in row 2") as info:
+            equalize(DetectorSpec.zf(), batch, np.ones((3, 6), dtype=complex))
+        assert info.value.rows.tolist() == [2]
+
+    @pytest.mark.parametrize("scheme", [Scheme.OFDM, Scheme.RPSDM])
+    @pytest.mark.parametrize("n", [1, 2, 12, 96, 128, 512])
+    def test_batch_rows_equal_one_dimensional_calls(self, scheme, n):
+        # effective_channel, equalize (ZF, MMSE with one zeta per row or one
+        # for all) and qam_demap on a (rows, N) batch are byte for byte the
+        # stack of their rows' own calls; N = 12 and 96 take MMSE's per-block solve
+        transform = build_transform(n) if scheme is Scheme.RPSDM else None
+        rng = np.random.default_rng(500 + n)
+        l = min(5, n)
+        taps = (rng.standard_normal((4, l)) + 1j * rng.standard_normal((4, l))) / np.sqrt(2)
+        y = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        sigma2 = np.array([1e-3, 0.1, 1.0, 3.0])
+        batch = effective_channel(scheme, ChannelRealization(taps=taps, n=n), transform)
+        singles = [effective_channel(scheme, ChannelRealization(taps=row, n=n), transform)
+                   for row in taps]
+        assert batch.gains.tobytes() == np.stack([e.gains for e in singles]).tobytes()
+        qam = QamConstellation.from_order(16)
+        per_row = [DetectorSpec.mmse(s) for s in sigma2]
+        for spec, specs in ((DetectorSpec.zf(), [DetectorSpec.zf()] * 4),
+                            (DetectorSpec.mmse(sigma2), per_row),
+                            (DetectorSpec.mmse(0.1), [DetectorSpec.mmse(0.1)] * 4)):
+            got = equalize(spec, batch, y)
+            expected = np.stack([equalize(one, eff, row)
+                                 for one, eff, row in zip(specs, singles, y)])
+            assert got.tobytes() == expected.tobytes(), spec
+            decided = qam_demap(got, qam)
+            assert decided.shape == (4, n * qam.bits_per_symbol)
+            rows = np.stack([qam_demap(row, qam) for row in got])
+            assert decided.tobytes() == rows.tobytes()
+        if scheme is Scheme.RPSDM:
+            stacked = np.stack([e.matrix for e in singles])
+            assert batch.matrix.tobytes() == stacked.tobytes()
 
 
 class TestZfPerfectRecovery:
@@ -347,10 +402,11 @@ def per_axis_qam_map(bits: np.ndarray, qam: QamConstellation, normalize: bool = 
 
 
 def per_axis_qam_demap(symbols: np.ndarray, qam: QamConstellation, normalize: bool = True):
-    """The per-axis route that ``qam_demap``'s bit table replaced."""
+    """The per-axis route that ``qam_demap``'s bit table replaced. Each axis
+    is scaled on its own, so an infinite component leaves the other alone."""
     symbols = np.asarray(symbols, dtype=np.complex128)
-    if normalize:
-        symbols = symbols / qam.unit_scale
+    scale = 1.0 / qam.unit_scale if normalize else 1.0
+    real, imag = symbols.real * scale, symbols.imag * scale
     side, half = qam.side, qam.bits_per_symbol // 2
 
     def axis_bits(values):
@@ -358,7 +414,7 @@ def per_axis_qam_demap(symbols: np.ndarray, qam: QamConstellation, normalize: bo
         code = idx ^ (idx >> 1)
         return (code[:, None] >> np.arange(half - 1, -1, -1)) & 1
 
-    return np.concatenate([axis_bits(symbols.real), axis_bits(symbols.imag)], axis=1).ravel()
+    return np.concatenate([axis_bits(real), axis_bits(imag)], axis=1).ravel()
 
 
 class TestQamTables:
@@ -378,6 +434,11 @@ class TestQamTables:
         expected = per_axis_qam_map(bits, qam, normalize=normalize)
         assert got.dtype == expected.dtype == np.complex128
         assert got.tobytes() == expected.tobytes()
+        # a (rows, bits) batch maps row by row
+        rows = bits[:len(bits) // (3 * k) * 3 * k].reshape(3, -1)
+        batch = qam_map(rows, qam, normalize=normalize)
+        assert batch.tobytes() == np.stack([qam_map(row, qam, normalize=normalize)
+                                            for row in rows]).tobytes()
 
     @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("m", ORDERS)
@@ -394,21 +455,22 @@ class TestQamTables:
         infinite = np.array([complex(re, im) for re in (np.inf, -np.inf, 0.0)
                              for im in (np.inf, -np.inf, 1.0)])
         for estimates in (random, halfway, infinite):
-            with np.errstate(invalid="ignore"):  # inf / scale puts NaN on the other axis
-                got = qam_demap(estimates, qam, normalize=normalize)
-                expected = per_axis_qam_demap(estimates, qam, normalize=normalize)
+            # an infinite axis decides the outermost level; the other axis
+            # keeps its own decision (no NaN, so no invalid-value warning)
+            got = qam_demap(estimates, qam, normalize=normalize)
+            expected = per_axis_qam_demap(estimates, qam, normalize=normalize)
             assert got.dtype == expected.dtype == np.int64
             assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("m", ORDERS)
     def test_nan_demaps_to_the_zero_label(self, m):
-        # a NaN axis decides index 0, whose Gray bits are all zero; on the raw
-        # grid the other axis keeps its decision, while normalizing divides
-        # the complex estimate, which spreads the NaN to both axes
+        # a NaN axis decides index 0, whose Gray bits are all zero; the other
+        # axis keeps its decision, on the raw grid and normalized alike
         qam = QamConstellation.from_order(m)
         half = qam.bits_per_symbol // 2
         corner = qam.side - 1.0
         other = qam_demap(np.array([complex(corner, corner)]), qam, normalize=False)[:half]
+        one = qam_demap(np.array([complex(1.0, 1.0)]), qam)[:half]
         with np.errstate(invalid="ignore"):
             raw = qam_demap(np.array([complex(np.nan, corner), complex(corner, np.nan)]),
                             qam, normalize=False)
@@ -417,4 +479,4 @@ class TestQamTables:
         assert other.tolist() != zero
         assert raw.reshape(2, 2, half).tolist() == [[zero, other.tolist()],
                                                     [other.tolist(), zero]]
-        assert normalized.tolist() == zero * 2
+        assert normalized.tolist() == zero + one.tolist()

@@ -26,6 +26,17 @@ RUNS = {
                      "--output", "ber.json"],
     "ber-n12-qam64": ["ber", "--n", "12", "--l", "4", "--m", "64", "--snr", "0:30:5",
                       "--trials", "40", "--seed", "5", "--output", "ber.csv"],
+    "ber-n1-l1": ["ber", "--n", "1", "--l", "1", "--m", "16", "--snr", "0:30:10",
+                  "--trials", "50", "--seed", "7", "--scheme", "both",
+                  "--detector", "both", "--output", "ber.csv"],
+    "ber-n512": ["ber", "--n", "512", "--l", "16", "--m", "16", "--snr", "0:30:10",
+                 "--trials", "4", "--seed", "11", "--scheme", "both",
+                 "--detector", "both", "--output", "ber.csv"],
+    # 400 (SNR point, trial) rows per curve at a non-power-of-two N: more
+    # rows than one batch of the BER engine, so chunk boundaries are pinned
+    "ber-n24-chunks": ["ber", "--n", "24", "--l", "5", "--m", "4", "--snr", "0:30:10",
+                       "--trials", "100", "--seed", "13", "--scheme", "both",
+                       "--detector", "both", "--output", "ber.csv"],
     "papr-ccdf": ["papr-ccdf", "--n", "64,128", "--m", "16", "--trials", "2000",
                   "--seed", "1", "--thresholds", "0:14:0.25", "--output", "ccdf.csv"],
     "dump-basis": ["dump-basis", "--n", "16", "--output", "basis"],
@@ -35,6 +46,10 @@ RUNS = {
 }
 
 GOLDEN = {
+    'ber-n1-l1': {
+        'stdout': 'e22bda53836262eaf617eb759ebeb76882f0f87c110f00722dbc8b18062dfe5a',
+        'ber.csv': 'da10dbdad014abbdf92360ef3f27204bf8800edeb11bf2e2e06f39b0a2125aa2',
+    },
     'ber-n12-qam64': {
         'stdout': '7da047c6b29ea6db9bca5daaa652bcd03bcfe14a801bd68663b6fc21ce4a2e6d',
         'ber.csv': '0dcb10785fc8649ebc2254563335a2a9e6884c393fdff8f67fa12c4246f75ef6',
@@ -42,6 +57,14 @@ GOLDEN = {
     'ber-n128': {
         'stdout': '3389fd40107aa81378ea840c609c13e1c42003980671d5a8bd77dfd593aa5be0',
         'ber.csv': 'f1b8c411d8de67682af37ea2c0ec8e7eaab17561039249a10ef644170619fb80',
+    },
+    'ber-n24-chunks': {
+        'stdout': '16213ea758507b95bebc653a112ed3c43d6e8c612c3db5017a50abec39997d30',
+        'ber.csv': 'e5e4b4fedccd7f8c5bdf04897f436b41e605ff37cf671bfeb365e5dfc1d95a41',
+    },
+    'ber-n512': {
+        'stdout': 'eb9199ea55e92c23a09601fb6df0a7771fdcdc62903c7aff71abeb5e04d87ab7',
+        'ber.csv': '3f4f01dd1e86f8ffd3191e703b3d1d7476337bb7edbc70512c968fc5d57b7b39',
     },
     'ber-n96-json': {
         'stdout': 'c815f0b6fc02c81e153346b4c0db54af46250cc93ab0622d0e5c4bbda54e1fdf',

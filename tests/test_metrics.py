@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from rpsdm.detection import Detector, QamConstellation
+import rpsdm.metrics
+from rpsdm.channel import ChannelRealization, add_cp, effective_channel, remove_cp, transmit
+from rpsdm.detection import (Detector, DetectorSpec, QamConstellation, SingularChannelError,
+                             equalize, qam_demap, qam_map)
 from rpsdm.metrics import (ber_curve, ccdf_crossing, complexity_report,
                            gamma_coefficient, papr, papr_ccdf, papr_db,
                            worst_case_papr)
 from rpsdm.number_theory import totient
-from rpsdm.transforms import Scheme, make_plan, modulate
+from rpsdm.transforms import Scheme, demodulate, make_plan, modulate
 
 PRIMES_TO_97 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -165,6 +168,84 @@ class TestBerCurve:
             ber_curve(Scheme.OFDM, Detector.ZF, 8, 9, QAM16, np.array([5.0]), 10, 0)
         with pytest.raises(ValueError):
             ber_curve(Scheme.OFDM, Detector.ZF, 8, 2, QAM16, np.array([5.0]), 0, 0)
+
+
+#: (point, trial) -> how many leading attempts draw the singular channel
+SINGULAR_ATTEMPTS = {(0, 1): 1, (1, 3): 2, (2, 0): 1, (2, 5): 1}
+
+#: taps (1, -1j) put an exact zero in DFT bin 1 of N = 4
+SINGULAR_TAPS = np.array([1, -1j])
+
+
+def forced_draw_channel(real_draw, singular=SINGULAR_ATTEMPTS):
+    """draw_channel that still consumes the real taps' draws, then hands back
+    the singular taps for the chosen (point, trial, attempt) streams. It keys
+    on the stream's seed, not on call order."""
+    def draw(rng, l, n):
+        ch = real_draw(rng, l, n)
+        _, p, t, attempt = rng.bit_generator.seed_seq.entropy
+        if attempt < singular.get((p, t), 0):
+            return ChannelRealization(taps=SINGULAR_TAPS.copy(), n=n)
+        return ch
+    return draw
+
+
+def replay_ber(scheme, detector, n, l, qam, snr_grid_db, trials, seed, draw):
+    """Per-trial scalar replay of ber_curve's draws: (BER per point, resamples)."""
+    plan = make_plan(scheme, n)
+    values, resamples = [], 0
+    for p, snr_db in enumerate(snr_grid_db):
+        sigma2 = 10.0 ** (-snr_db / 10.0)
+        spec = DetectorSpec.zf() if detector is Detector.ZF else DetectorSpec.mmse(sigma2)
+        errors = 0
+        for t in range(trials):
+            attempt = 0
+            while True:
+                rng = np.random.default_rng([seed, p, t, attempt])
+                ch = draw(rng, l, n)
+                bits = rng.integers(0, 2, n * qam.bits_per_symbol)
+                symbols = qam_map(bits, qam)
+                frame = transmit(add_cp(modulate(plan, symbols), l), ch, sigma2, rng)
+                demod = demodulate(plan, remove_cp(frame, l))
+                eff = effective_channel(scheme, ch, plan.transform)
+                try:
+                    estimates = equalize(spec, eff, demod)
+                    break
+                except SingularChannelError:
+                    attempt += 1
+            resamples += attempt
+            errors += np.count_nonzero(qam_demap(estimates, qam) != bits)
+        values.append(errors / (trials * n * qam.bits_per_symbol))
+    return np.array(values), resamples
+
+
+class TestSingularResampling:
+    """Exactly singular ZF draws are redrawn from the next attempt's stream
+    and counted; MMSE never resamples."""
+
+    GRID = np.array([0.0, 10.0, 20.0])
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    @pytest.mark.parametrize("scheme", [Scheme.OFDM, Scheme.RPSDM])
+    @pytest.mark.parametrize("detector", [Detector.ZF, Detector.MMSE])
+    def test_resampled_draws_match_a_scalar_replay(self, monkeypatch, scheme, detector, chunk):
+        # 18 (point, trial) rows: one batch, or split across batch boundaries
+        draw = forced_draw_channel(rpsdm.metrics.draw_channel)
+        monkeypatch.setattr(rpsdm.metrics, "draw_channel", draw)
+        monkeypatch.setattr(rpsdm.metrics, "_BER_CHUNK", chunk)
+        curve = ber_curve(scheme, detector, 4, 2, QAM16, self.GRID, trials=6, seed=21)
+        values, resamples = replay_ber(scheme, detector, 4, 2, QAM16, self.GRID, 6, 21, draw)
+        expected = sum(SINGULAR_ATTEMPTS.values()) if detector is Detector.ZF else 0
+        assert resamples == expected
+        assert curve.metadata["resampled_trials"] == expected
+        assert np.array_equal(curve.values, values)
+
+    def test_endless_singular_draws_raise(self, monkeypatch):
+        always = {(0, 0): np.inf}
+        monkeypatch.setattr(rpsdm.metrics, "draw_channel",
+                            forced_draw_channel(rpsdm.metrics.draw_channel, always))
+        with pytest.raises(RuntimeError, match="exceeded 1000 singular-channel resamples"):
+            ber_curve(Scheme.OFDM, Detector.ZF, 4, 2, QAM16, np.array([10.0]), 1, 0)
 
 
 class TestComplexityReport:

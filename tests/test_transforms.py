@@ -107,6 +107,29 @@ class TestModemProducts:
         assert np.array_equal(modulate(plan, s), plan.forward @ s)
         assert np.array_equal(demodulate(plan, s), plan.inverse @ s)
 
+    @pytest.mark.parametrize("scheme", [Scheme.OFDM, Scheme.RPSDM])
+    @pytest.mark.parametrize("n", [1, 2, 12, 96, 128, 512])
+    def test_batch_rows_equal_one_dimensional_calls(self, scheme, n):
+        # a (rows, N) batch is byte for byte the stack of its rows' own
+        # calls, for complex symbols and for real ones (RPSDM stays float64)
+        plan = make_plan(scheme, n)
+        rng = np.random.default_rng(300 + n)
+        complex_rows = np.stack([random_symbols(n, 100 * n + r) for r in range(5)])
+        for batch in (complex_rows, rng.standard_normal((3, n))):
+            for stage in (modulate, demodulate):
+                got = stage(plan, batch)
+                expected = np.stack([stage(plan, row) for row in batch])
+                assert got.shape == batch.shape and got.dtype == expected.dtype
+                assert got.tobytes() == expected.tobytes()
+
+    def test_rejects_bad_batch_shapes(self):
+        plan = make_plan(Scheme.RPSDM, 8)
+        for bad in (np.ones((2, 7)), np.ones((2, 2, 8)), np.array(1.0)):
+            with pytest.raises(ValueError, match="expected 8 symbols"):
+                modulate(plan, bad)
+            with pytest.raises(ValueError, match="expected block of length 8"):
+                demodulate(plan, bad)
+
 
 class TestSubspaceSynthesisRoute:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 12, 16, 64])
