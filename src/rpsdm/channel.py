@@ -298,12 +298,10 @@ def is_skew_circulant(matrix: np.ndarray, rtol: float = STRUCTURE_RTOL,
     n = matrix.shape[0]
     if n != matrix.shape[1]:
         raise ValueError("structure checks need a square matrix")
-    first = matrix[0]
-    dev = 0.0
-    for i in range(1, n):
-        expected = np.concatenate([-first[n - i:], first[:n - i]])
-        dev = max(dev, float(np.abs(matrix[i] - expected).max()))
-    residual = dev / _scale_of(matrix, scale)
+    idx = np.arange(n)
+    shifted = matrix[0][(idx[None, :] - idx[:, None]) % n]
+    expected = np.where(idx[None, :] >= idx[:, None], shifted, -shifted)
+    residual = float(np.abs(matrix - expected).max()) / _scale_of(matrix, scale)
     return residual < rtol, residual
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .channel import (EffectiveChannel, circulant_matrix, draw_channel, effective_channel,
                       structure_report)
 from .detection import Detector, QamConstellation
-from .metrics import ber_curve, complexity_report, papr_ccdf, worst_case_papr
+from .metrics import ber_curve, complexity_report, noise_variance, papr_ccdf, worst_case_papr
 from .ramanujan import NumericalError, build_transform, dft_support
 from .transforms import Scheme
 
@@ -74,11 +74,11 @@ def _parse_one_of(convert, choices: tuple):
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """Float grid, either 'start:stop:step' (inclusive stop) or 'a,b,c'."""
+    """Finite float grid, either 'start:stop:step' (inclusive stop) or 'a,b,c'."""
     try:
         if ":" in text:
             parts = [float(p) for p in text.split(":")]
-            if len(parts) != 3:
+            if len(parts) != 3 or not all(map(math.isfinite, parts)):
                 raise ValueError
             start, stop, step = parts
             if step <= 0 or stop < start:
@@ -86,11 +86,19 @@ def _parse_grid(text: str) -> np.ndarray:
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
             return start + step * np.arange(count)
         values = np.array([float(p) for p in text.split(",") if p.strip()])
-        if values.size == 0:
+        if values.size == 0 or not np.isfinite(values).all():
             raise ValueError
         return values
-    except ValueError as exc:
-        raise ValueError(f"expected 'start:stop:step' or comma-separated floats, got {text!r}") from exc
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"expected 'start:stop:step' or comma-separated finite floats, "
+                         f"got {text!r}") from exc
+
+
+def _parse_snr(text: str) -> np.ndarray:
+    """SNR grid (dB) whose every noise variance 10^(-SNR/10) is positive and finite."""
+    grid = _parse_grid(text)
+    noise_variance(grid)
+    return grid
 
 
 def _parse_both(kind):
@@ -109,7 +117,7 @@ OPTIONS = {
     "format": (_parse_one_of(str, ("csv", "json")), "output file format: csv or json"),
     "seed": (_parse_at_least(0), "master RNG seed (required)"),
     "thresholds": (_parse_grid, "dB grid start:stop:step or list"),
-    "snr": (_parse_grid, "SNR dB grid start:stop:step or list"),
+    "snr": (_parse_snr, "SNR dB grid start:stop:step or list"),
     "l": (int, "multipath count"),
     "m": (_parse_one_of(int, VALID_QAM_ORDERS), "QAM order (4, 16, 64)"),
     "trials": (_parse_at_least(1), "Monte Carlo trials (per SNR point for ber)"),
@@ -315,13 +323,11 @@ def _cmd_papr_worst(args) -> tuple[str, dict[str, str]]:
     m = _resolve(args, "m", default=16)
     constellation = QamConstellation.from_order(m)
     rows = []
-    for n in n_list:
-        for scheme in (Scheme.OFDM, Scheme.RPSDM):
-            rows.append([n, scheme.value, worst_case_papr(scheme, n, constellation)])
     lines = [f"worst-case PAPR (dB), {m}-QAM", f"{'n':>6} {'ofdm':>8} {'rpsdm':>8}"]
     for n in n_list:
-        ofdm_db = next(r[2] for r in rows if r[0] == n and r[1] == "ofdm")
-        rpsdm_db = next(r[2] for r in rows if r[0] == n and r[1] == "rpsdm")
+        ofdm_db, rpsdm_db = (worst_case_papr(scheme, n, constellation)
+                             for scheme in (Scheme.OFDM, Scheme.RPSDM))
+        rows += [[n, Scheme.OFDM.value, ofdm_db], [n, Scheme.RPSDM.value, rpsdm_db]]
         lines.append(f"{n:>6} {ofdm_db:>8.2f} {rpsdm_db:>8.2f}")
     # the JSON rows name the value papr_db; the CSV header keeps the longer name
     payload = {"command": "papr-worst", "config": {"n": n_list, "m": m},

@@ -16,6 +16,9 @@ average energy inside the simulation chain so sigma^2 parameterizes both
 the SNR and the MMSE regularizer. ``equalize``, ``qam_map`` and
 ``qam_demap`` also take a batch with rows first (the BER engine's (rows, N)
 arrays, with one zeta per row), giving each row the bytes of its own call.
+A ZF batch with an exactly singular row raises one SingularChannelError for
+the whole batch; a caller that needs the other rows' estimates reruns the
+rows one at a time.
 """
 
 from __future__ import annotations
@@ -37,13 +40,14 @@ class Detector(enum.Enum):
 
 
 class SingularChannelError(RuntimeError):
-    """ZF hit an exactly singular bin or block; carries the offending index
-    and, for a batch, the rows that hit one."""
+    """ZF hit an exactly singular bin or block, named by ``where``. A batch
+    names what the 1-D call of its first singular row would; the per-block
+    solve fails for every row at once, so there it names the first block in
+    layout order that is singular in some row."""
 
-    def __init__(self, message: str, where: str, rows: np.ndarray | None = None):
+    def __init__(self, message: str, where: str):
         super().__init__(message)
         self.where = where
-        self.rows = rows
 
 
 @dataclass(frozen=True)
@@ -71,33 +75,20 @@ class DetectorSpec:
         return cls(kind=Detector.MMSE, zeta=zeta)
 
 
-def _zero_bins(denom: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Exact zeros of per-bin denominators (one block, or a batch with rows
-    first): the zero bins of the first singular block and, for a batch,
-    every singular row."""
-    zero = denom == 0.0
-    if zero.ndim == 1:
-        return np.flatnonzero(zero), None
-    rows = np.flatnonzero(zero.any(axis=-1))
-    return np.flatnonzero(zero[rows[0]]), rows
-
-
-def _in_row(rows: np.ndarray | None) -> str:
-    return "" if rows is None else f" in row {rows[0]}"
-
-
-def _singular_rows(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """Rows of a stacked solve that LAPACK finds singular (None for one
-    system); only called once the stacked solve has failed."""
-    if gram.ndim == 2:
-        return None
-    rows = []
-    for r in range(gram.shape[0]):
-        try:
-            np.linalg.solve(gram[r], rhs[r])
-        except np.linalg.LinAlgError:
-            rows.append(r)
-    return np.array(rows, dtype=np.int64)
+def _zero_gain_error(scheme: Scheme, zero: np.ndarray) -> SingularChannelError:
+    """The error for exact zeros of the per-bin denominators (one block, or a
+    batch with rows first). It names, for the first singular row, its first
+    zero bin (OFDM) or the first block in layout order holding one (RPSDM)."""
+    n = zero.shape[-1]
+    zero = zero.reshape(-1, n)
+    bins = np.flatnonzero(zero[zero.any(axis=1).argmax()])
+    if scheme is Scheme.OFDM:
+        k = int(bins[0])
+        return SingularChannelError(f"zero channel gain at bin {k}", where=f"bin {k}")
+    # bin k lies in block q = N / gcd(k, N)
+    q = min(n // math.gcd(int(k), n) for k in bins)
+    return SingularChannelError(f"zero channel gain in the block for divisor q={q}",
+                                where=f"q={q}")
 
 
 def equalize(spec: DetectorSpec, eff: EffectiveChannel, y: np.ndarray) -> np.ndarray:
@@ -111,31 +102,19 @@ def equalize(spec: DetectorSpec, eff: EffectiveChannel, y: np.ndarray) -> np.nda
         raise ValueError(f"expected {expected}, got shape {y.shape}")
     # a per-row zeta broadcasts as a column against the rows of bins
     zeta = spec.zeta if np.ndim(spec.zeta) == 0 else np.asarray(spec.zeta)[:, None]
-    if eff.scheme is Scheme.OFDM:
-        gains = eff.gains
-        if gains is None:
-            gains = np.diagonal(eff.matrix, axis1=-2, axis2=-1)
+    gains, t = eff.gains, eff.transform
+    if eff.scheme is Scheme.OFDM and gains is None:
+        gains = np.diagonal(eff.matrix, axis1=-2, axis2=-1)
+    if eff.scheme is Scheme.OFDM or (gains is not None and eff.basis == "normalized" and (
+            spec.kind is Detector.ZF or t.transpose_path)):
         denom = np.abs(gains) ** 2 + zeta
         if not denom.all():  # only ZF (zeta = 0) can hit a zero
-            bins, rows = _zero_bins(denom)
-            k = int(bins[0])
-            raise SingularChannelError(f"zero channel gain at bin {k}{_in_row(rows)}",
-                                       where=f"bin {k}", rows=rows)
-        return np.conj(gains) * y / denom
-    assert eff.layout is not None
-    t = eff.transform
-    if eff.gains is not None and eff.basis == "normalized" and (
-            spec.kind is Detector.ZF or t.transpose_path):
-        denom = np.abs(eff.gains) ** 2 + zeta
-        if not denom.all():
-            bins, rows = _zero_bins(denom)
-            # bin k lies in block q = N / gcd(k, N); name the first in layout order
-            q = min(n // math.gcd(int(k), n) for k in bins)
-            raise SingularChannelError(
-                f"zero channel gain in the block for divisor q={q}{_in_row(rows)}",
-                where=f"q={q}", rows=rows)
-        weights = np.conj(eff.gains) / denom
+            raise _zero_gain_error(eff.scheme, denom == 0.0)
+        if eff.scheme is Scheme.OFDM:
+            return np.conj(gains) * y / denom
+        weights = np.conj(gains) / denom
         return _real_matvec(t.e_r, np.fft.ifft(weights * np.fft.fft(_real_matvec(t.forward, y))))
+    assert eff.layout is not None
     out = np.empty(y.shape, dtype=np.complex128)
     if np.ndim(zeta):
         zeta = zeta[..., None]  # one regularizer per row's phi x phi gram
@@ -147,10 +126,8 @@ def equalize(spec: DetectorSpec, eff: EffectiveChannel, y: np.ndarray) -> np.nda
         try:
             out[..., offset:offset + phi] = np.linalg.solve(gram, rhs)[..., 0]
         except np.linalg.LinAlgError as exc:
-            rows = _singular_rows(gram, rhs)
-            raise SingularChannelError(
-                f"singular block for divisor q={q} (size {phi}){_in_row(rows)}",
-                where=f"q={q}", rows=rows) from exc
+            raise SingularChannelError(f"singular block for divisor q={q} (size {phi})",
+                                       where=f"q={q}") from exc
     return out
 
 

@@ -6,7 +6,9 @@ bit-identical regardless of chunking. BER trials run as batches: each
 trial's stream draws its taps, bits and noise, and every later stage runs
 once per chunk of (point, trial) rows on (rows, N) arrays, giving each row
 the bytes of its own 1-D call, so a curve does not depend on the chunk size
-or on which rows share a batch. SNR is Es/N0 with unit-power symbols:
+or on which rows share a batch. A batch that draws an exactly singular ZF
+channel is rerun a row at a time, each row redrawn from its next attempt's
+stream until it equalizes. SNR is Es/N0 with unit-power symbols:
 sigma^2 = 10^(-SNR/10).
 """
 
@@ -166,13 +168,26 @@ def ccdf_crossing(grid_db: np.ndarray, values: np.ndarray, level: float) -> floa
     return float(grid_db[i - 1] + frac * (grid_db[i] - grid_db[i - 1]))
 
 
+def noise_variance(snr_grid_db: np.ndarray) -> np.ndarray:
+    """sigma^2 = 10^(-SNR/10) per point of an SNR grid in dB; raises
+    ValueError unless every one is a positive finite number."""
+    with np.errstate(over="ignore"):
+        sigma2 = np.array([10.0 ** (-snr_db / 10.0) for snr_db in snr_grid_db])
+    bad = np.flatnonzero(~((sigma2 > 0) & np.isfinite(sigma2)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"SNR {snr_grid_db[i]:g} dB gives noise variance {sigma2[i]:g}, "
+                         "not a positive finite number")
+    return sigma2
+
+
 def _ber_trial(plan, constellation, detector: Detector, l: int, sigma2: np.ndarray,
                seed_keys: list[tuple[int, ...]], attempt: int) -> np.ndarray:
     """End-to-end trials as one batch, a row per seed key at stream
     ``attempt`` and noise variance ``sigma2[row]``; returns each row's bit
     errors. Each row's stream draws its taps, bits and AWGN in that order;
     every later stage runs once on the (rows, N) arrays. A ZF row that hits
-    an exact zero raises SingularChannelError naming the singular rows."""
+    an exact zero raises SingularChannelError for the whole batch."""
     n = plan.n
     bits_per = constellation.bits_per_symbol
     frame = n + l - 1
@@ -205,38 +220,40 @@ def ber_curve(scheme: Scheme, detector: Detector, n: int, l: int,
     per trial. Exactly singular ZF draws are resampled and counted.
 
     The (point, trial) rows run through ``_ber_trial`` in batches of
-    ``_BER_CHUNK``; rows that hit a singular draw are run again on their
-    next attempt's stream, and the others of their batch on the same one."""
+    ``_BER_CHUNK``. A batch that hits a singular draw is rerun one row at a
+    time, each row on attempts 0, 1, ... of its own stream until one
+    equalizes; every attempt that fails counts as a resampled trial."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 1 <= l <= n:
         raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
     snr_grid_db = np.asarray(snr_grid_db, dtype=np.float64)
+    sigma2 = noise_variance(snr_grid_db)
     plan = make_plan(scheme, n)
     bits_per_trial = n * constellation.bits_per_symbol
     points = snr_grid_db.shape[0]
-    sigma2 = np.array([10.0 ** (-snr_db / 10.0) for snr_db in snr_grid_db])
     errors = np.zeros(points * trials, dtype=np.int64)
     resamples = 0
 
+    def run(rows: np.ndarray, attempt: int) -> np.ndarray:
+        keys = [(seed, *divmod(int(row), trials)) for row in rows]
+        return _ber_trial(plan, constellation, detector, l, sigma2[rows // trials], keys, attempt)
+
     for start in range(0, points * trials, _BER_CHUNK):
-        pending = [(np.arange(start, min(start + _BER_CHUNK, points * trials)), 0)]
-        while pending:
-            rows, attempt = pending.pop()
-            if attempt == _MAX_RESAMPLES_PER_TRIAL:
-                raise RuntimeError(
-                    f"exceeded {_MAX_RESAMPLES_PER_TRIAL} singular-channel resamples")
-            keys = [(seed, *divmod(int(row), trials)) for row in rows]
-            try:
-                errors[rows] = _ber_trial(plan, constellation, detector, l,
-                                          sigma2[rows // trials], keys, attempt)
-            except SingularChannelError as exc:
-                singular = np.zeros(rows.shape, dtype=bool)
-                singular[exc.rows] = True
-                resamples += int(singular.sum())
-                pending.append((rows[singular], attempt + 1))
-                if not singular.all():
-                    pending.append((rows[~singular], attempt))
+        rows = np.arange(start, min(start + _BER_CHUNK, points * trials))
+        try:
+            errors[rows] = run(rows, 0)
+        except SingularChannelError:
+            for row in rows:
+                for attempt in range(_MAX_RESAMPLES_PER_TRIAL):
+                    try:
+                        errors[row] = run(np.array([row]), attempt)[0]
+                        break
+                    except SingularChannelError:
+                        resamples += 1
+                else:
+                    raise RuntimeError(
+                        f"exceeded {_MAX_RESAMPLES_PER_TRIAL} singular-channel resamples")
 
     values = errors.reshape(points, trials).sum(axis=1) / (trials * bits_per_trial)
     ci_low, ci_high = _binomial_ci(values, trials * bits_per_trial)

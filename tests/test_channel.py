@@ -6,7 +6,7 @@ import pytest
 from rpsdm.channel import (ChannelRealization, EffectiveChannel, add_cp, awgn,
                            circulant_from_column, circulant_matrix, draw_channel,
                            effective_channel, is_skew_circulant, is_stair_block_diagonal, is_toeplitz,
-                           remove_cp, structure_report, transmit)
+                           STRUCTURE_RTOL, remove_cp, structure_report, transmit)
 from rpsdm.number_theory import divisor_set
 from rpsdm.ramanujan import build_transform
 from rpsdm.transforms import Scheme, ofdm_synthesis_matrix
@@ -303,6 +303,27 @@ class TestStructureCheckers:
         assert is_skew_circulant(block)[0]
         plain_circulant = np.array([[1.0, 2.0], [2.0, 1.0]])
         assert not is_skew_circulant(plain_circulant)[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 12, 64])
+    def test_skew_circulant_residual_equals_row_loop(self, n):
+        # reference: build each expected row as the previous row rotated
+        # right with the wrapped entry negated, and take the largest deviation
+        def row_loop(matrix):
+            first, dev = matrix[0], 0.0
+            for i in range(1, n):
+                expected = np.concatenate([-first[n - i:], first[:n - i]])
+                dev = max(dev, float(np.abs(matrix[i] - expected).max()))
+            return dev / np.abs(matrix).max()
+
+        rng = np.random.default_rng(n)
+        idx = np.arange(n)
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        skew = np.where(idx[None, :] >= idx[:, None], 1, -1) * a[(idx[None, :] - idx[:, None]) % n]
+        for matrix in (skew, skew + 1e-13 * rng.standard_normal((n, n)),
+                       rng.standard_normal((n, n))):
+            ok, residual = is_skew_circulant(matrix)
+            assert residual == row_loop(matrix)
+            assert ok == (residual < STRUCTURE_RTOL)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 exit codes, and byte-level determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,13 +88,12 @@ class TestDumpBasisCommand:
         prefix = str(tmp_path / "basis")
         assert run("dump-basis", "--n", "12", "--output", prefix) == 0
         transform = build_transform(12)
-        e_t = np.array([[int(v) for v in line.split(",")]
-                        for line in open(prefix + "_et.csv")])
+        lines = lambda suffix: Path(prefix + suffix).read_text().splitlines()
+        e_t = np.array([[int(v) for v in line.split(",")] for line in lines("_et.csv")])
         np.testing.assert_array_equal(e_t, transform.e_t)
-        q_norm = np.array([float(line) for line in open(prefix + "_qnorm.csv")])
+        q_norm = np.array([float(line) for line in lines("_qnorm.csv")])
         np.testing.assert_allclose(q_norm, transform.q_norm, rtol=1e-15)
-        e_r = np.array([[float(v) for v in line.split(",")]
-                        for line in open(prefix + "_er.csv")])
+        e_r = np.array([[float(v) for v in line.split(",")] for line in lines("_er.csv")])
         np.testing.assert_allclose(e_r, transform.e_r, rtol=1e-15)
 
     def test_rejects_json(self, tmp_path):
@@ -211,7 +211,9 @@ class TestConfigFile:
         ("papr-worst", "n = 8\nm = x\n"),
         ("papr-ccdf", "n = 8\nseed = 1\ntrials = 10\nscheme = qpsk\n"),
         ("papr-worst", "n = 8\nformat = xml\n"),
-    ], ids=["l", "trials", "m", "scheme", "format"])
+        ("ber", "n = 8\nl = 2\nseed = 1\nsnr = 0,nan\n"),
+        ("ber", "n = 8\nl = 2\nseed = 1\nsnr = 0,3300\n"),
+    ], ids=["l", "trials", "m", "scheme", "format", "snr-nan", "snr-noise-free"])
     def test_entries_are_parsed_like_flags(self, tmp_path, capsys, command, entries):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(entries)
@@ -293,6 +295,14 @@ class TestConfigErrors:
         ("spectrum", "--n", "8,16"),
         ("complexity", "--n", "0"),
         ("papr-ccdf", "--n", "8", "--trials", "10", "--seed", "-1"),
+        ("papr-ccdf", "--n", "8", "--seed", "1", "--thresholds", "0:inf:1"),
+        ("papr-ccdf", "--n", "8", "--seed", "1", "--thresholds", "0,nan"),
+        ("ber", "--n", "8", "--l", "2", "--seed", "1", "--snr", "0:inf:5"),
+        ("ber", "--n", "8", "--l", "2", "--seed", "1", "--snr", "-1e308:1e308:1"),
+        ("ber", "--n", "8", "--l", "2", "--seed", "1", "--snr", "inf", "--detector", "zf"),
+        ("ber", "--n", "8", "--l", "2", "--seed", "1", "--snr", "nan"),
+        ("ber", "--n", "8", "--l", "2", "--seed", "1", "--snr", "0,3300"),
+        ("ber", "--n", "8", "--l", "2", "--seed", "1", "--snr=-4000"),
     ])
     def test_invalid_configs_exit_2(self, argv):
         assert run(*argv) == 2

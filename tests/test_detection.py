@@ -150,30 +150,37 @@ class TestPerBinEqualizer:
         with pytest.raises(SingularChannelError) as info:
             equalize(DetectorSpec.zf(), eff, np.ones(n, dtype=complex))
         assert info.value.where == where
-        assert info.value.rows is None
         # MMSE stays defined on the same channel
         assert np.all(np.isfinite(equalize(DetectorSpec.mmse(0.1), eff, np.ones(n))))
-        # in a batch, the error names the block and every singular row
-        rows = np.array([(0.5, 0.25j), taps, (1, 0.5), taps], dtype=complex)
-        for scheme in (Scheme.OFDM, Scheme.RPSDM):
-            batch = effective_channel(scheme, ChannelRealization(taps=rows, n=n),
-                                      build_transform(n))
-            with pytest.raises(SingularChannelError, match="in row 1") as info:
-                equalize(DetectorSpec.zf(), batch, np.ones((4, n), dtype=complex))
-            assert info.value.rows.tolist() == [1, 3]
-            if scheme is Scheme.RPSDM:
-                assert info.value.where == where
 
-    def test_singular_block_solve_names_rows(self):
-        # an explicit-matrix batch takes the per-block solve; a zero block
-        # in row 2 names that row
+    @pytest.mark.parametrize("scheme", [Scheme.OFDM, Scheme.RPSDM])
+    @pytest.mark.parametrize("singular", [[(1, -1j), (1, 1)], [(1, 1), (1, -1j)]])
+    def test_singular_batch_names_first_singular_row(self, scheme, singular):
+        # at N = 8, (1, -1j) zeroes bin 2 (block q=4) and (1, 1) bin 4 (q=2);
+        # rows 1 and 3 are singular, so the batch names what row 1 names
+        n, transform = 8, build_transform(8)
+        taps = np.array([(0.5, 0.25j), singular[0], (1, 0.5), singular[1]], dtype=complex)
+        batch = effective_channel(scheme, ChannelRealization(taps=taps, n=n), transform)
+        with pytest.raises(SingularChannelError) as info:
+            equalize(DetectorSpec.zf(), batch, np.ones((4, n), dtype=complex))
+        row = effective_channel(scheme, ChannelRealization(taps=taps[1], n=n), transform)
+        with pytest.raises(SingularChannelError) as first:
+            equalize(DetectorSpec.zf(), row, np.ones(n, dtype=complex))
+        assert info.value.where == first.value.where
+
+    def test_singular_block_solve_batch_names_block(self):
+        # an explicit-matrix batch takes the per-block solve; a zero block in
+        # row 2 fails the stacked solve and names the block row 2 alone names
         transform = build_transform(6)
         matrices = np.stack([np.eye(6, dtype=complex)] * 3)
         matrices[2, 5, 5] = 0.0
         batch = EffectiveChannel(Scheme.RPSDM, matrices, transform.layout)
-        with pytest.raises(SingularChannelError, match="in row 2") as info:
+        with pytest.raises(SingularChannelError) as info:
             equalize(DetectorSpec.zf(), batch, np.ones((3, 6), dtype=complex))
-        assert info.value.rows.tolist() == [2]
+        with pytest.raises(SingularChannelError) as row:
+            equalize(DetectorSpec.zf(), EffectiveChannel(Scheme.RPSDM, matrices[2],
+                                                         transform.layout), np.ones(6))
+        assert info.value.where == row.value.where == "q=6"
 
     @pytest.mark.parametrize("scheme", [Scheme.OFDM, Scheme.RPSDM])
     @pytest.mark.parametrize("n", [1, 2, 12, 96, 128, 512])

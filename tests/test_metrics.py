@@ -168,6 +168,10 @@ class TestBerCurve:
             ber_curve(Scheme.OFDM, Detector.ZF, 8, 9, QAM16, np.array([5.0]), 10, 0)
         with pytest.raises(ValueError):
             ber_curve(Scheme.OFDM, Detector.ZF, 8, 2, QAM16, np.array([5.0]), 0, 0)
+        # SNRs whose noise variance 10^(-SNR/10) is not positive and finite
+        for snr in (np.inf, np.nan, -4000.0, 3300.0):
+            with pytest.raises(ValueError, match="noise variance"):
+                ber_curve(Scheme.OFDM, Detector.MMSE, 8, 2, QAM16, np.array([5.0, snr]), 1, 0)
 
 
 #: (point, trial) -> how many leading attempts draw the singular channel
