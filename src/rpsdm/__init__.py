@@ -15,7 +15,7 @@ from .channel import (ChannelRealization, EffectiveChannel, add_cp, circulant_fr
                       remove_cp, structure_report, transmit)
 from .detection import (Detector, DetectorSpec, QamConstellation, SingularChannelError,
                         equalize, qam_demap, qam_map)
-from .metrics import (ComplexityRow, CurveResult, ber_curve, ccdf_crossing,
+from .metrics import (ComplexityRow, CurveResult, ber_curve, ber_curves, ccdf_crossing,
                       complexity_report, gamma_coefficient, papr, papr_ccdf, papr_db,
                       worst_case_papr)
 
@@ -25,14 +25,13 @@ __all__ = [
     "ChannelRealization", "ComplexityRow", "CurveResult", "Detector", "DetectorSpec",
     "DivisorSet", "EffectiveChannel", "FlopCount", "ModulatorPlan", "NumericalError",
     "PeriodicTransform", "QamConstellation", "RamanujanSum", "Scheme",
-    "SingularChannelError", "SubspaceBasis", "add_cp", "ber_curve", "build_transform",
-    "ccdf_crossing", "circulant_from_column", "circulant_integer_matrix",
-    "circulant_matrix", "complexity_report", "demodulate", "dft_support",
-    "direct_flops", "divisor_count", "divisor_set", "draw_channel", "effective_channel",
-    "equalize", "fast_flops", "gamma_coefficient", "gcd",
+    "SingularChannelError", "SubspaceBasis", "add_cp", "ber_curve", "ber_curves",
+    "build_transform", "ccdf_crossing", "circulant_from_column",
+    "circulant_integer_matrix", "circulant_matrix", "complexity_report", "demodulate",
+    "dft_support", "direct_flops", "divisor_count", "divisor_set", "draw_channel",
+    "effective_channel", "equalize", "fast_flops", "gamma_coefficient", "gcd",
     "is_skew_circulant", "is_stair_block_diagonal", "is_toeplitz", "make_plan",
     "mobius", "modulate", "papr", "papr_ccdf", "papr_db", "qam_demap", "qam_map",
-    "ramanujan_sum", "remove_cp", "sparse_irpt", "structure_report",
-    "subspace_basis", "synthesize_by_subspaces", "totient", "transmit",
-    "worst_case_papr",
+    "ramanujan_sum", "remove_cp", "sparse_irpt", "structure_report", "subspace_basis",
+    "synthesize_by_subspaces", "totient", "transmit", "worst_case_papr",
 ]

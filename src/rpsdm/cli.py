@@ -27,7 +27,10 @@ import numpy as np
 from .channel import (EffectiveChannel, circulant_matrix, draw_channel, effective_channel,
                       structure_report)
 from .detection import Detector, QamConstellation
-from .metrics import ber_curve, complexity_report, noise_variance, papr_ccdf, worst_case_papr
+from .metrics import (ber_curves, complexity_report, noise_variance, papr_ccdf,
+                      worst_case_papr)
+# unused here: the benchmark tracer (bench/spans.py) looks ber_curve up in this module
+from .metrics import ber_curve  # noqa: F401
 from .ramanujan import NumericalError, build_transform, dft_support
 from .transforms import Scheme
 
@@ -367,8 +370,7 @@ def _cmd_ber(args) -> tuple[str, dict[str, str]]:
     snr = _resolve(args, "snr", default=_parse_grid("0:30:5"))
     _check_workers(args)
     constellation = QamConstellation.from_order(m)
-    curves = [ber_curve(scheme, detector, n, l, constellation, snr, trials, seed)
-              for scheme in schemes for detector in detectors]
+    curves = ber_curves(schemes, detectors, n, l, constellation, snr, trials, seed)
     lines = [f"BER, n={n}, l={l}, {m}-QAM, {trials} trials/point, seed {seed}"]
     for curve in curves:
         summary = " ".join(f"{v:.3e}" for v in curve.values)

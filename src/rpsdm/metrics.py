@@ -2,14 +2,17 @@
 
 Monte Carlo determinism: every trial draws from its own stream seeded by
 (master seed, curve point index, trial index, attempt), so curves are
-bit-identical regardless of chunking. BER trials run as batches: each
-trial's stream draws its taps, bits and noise, and every later stage runs
-once per chunk of (point, trial) rows on (rows, N) arrays, giving each row
-the bytes of its own 1-D call, so a curve does not depend on the chunk size
-or on which rows share a batch. A batch that draws an exactly singular ZF
-channel is rerun a row at a time, each row redrawn from its next attempt's
-stream until it equalizes. SNR is Es/N0 with unit-power symbols:
-sigma^2 = 10^(-SNR/10).
+bit-identical regardless of chunking. One BER engine (``ber_curves``) runs
+every requested receiver on the same draws: each (point, trial) row's stream
+draws its taps, bits and noise once, each scheme modulates, transmits and
+demodulates them once, and each (scheme, detector) receiver equalizes and
+demaps them. Every stage runs once per chunk of rows on (rows, N) arrays,
+giving each row the bytes of its own 1-D call, so a curve does not depend on
+the chunk size, on which rows share a batch, or on which other receivers run
+beside it. A receiver whose ZF equalizer draws an exactly singular channel in
+a batch reruns that batch a row at a time, each row redrawn from its next
+attempt's stream until it equalizes; the other receivers keep the batch. SNR
+is Es/N0 with unit-power symbols: sigma^2 = 10^(-SNR/10).
 """
 
 from __future__ import annotations
@@ -96,6 +99,8 @@ class CurveResult:
     trials: int
     seed: int
     metadata: dict = field(default_factory=dict)
+    #: summed squared symbol error per point (BER curves); no writer prints it
+    squared_error: np.ndarray | None = None
 
     def config_echo(self) -> dict:
         return {
@@ -181,14 +186,18 @@ def noise_variance(snr_grid_db: np.ndarray) -> np.ndarray:
     return sigma2
 
 
-def _ber_trial(plan, constellation, detector: Detector, l: int, sigma2: np.ndarray,
-               seed_keys: list[tuple[int, ...]], attempt: int) -> np.ndarray:
+def _ber_trial(receivers, constellation, l: int, sigma2: np.ndarray,
+               seed_keys: list[tuple[int, ...]], attempt: int) -> list:
     """End-to-end trials as one batch, a row per seed key at stream
-    ``attempt`` and noise variance ``sigma2[row]``; returns each row's bit
-    errors. Each row's stream draws its taps, bits and AWGN in that order;
-    every later stage runs once on the (rows, N) arrays. A ZF row that hits
-    an exact zero raises SingularChannelError for the whole batch."""
-    n = plan.n
+    ``attempt`` and noise variance ``sigma2[row]``, through every ``(plan,
+    detector)`` receiver. Each row's stream draws its taps, bits and AWGN in
+    that order, once for all receivers; each scheme modulates, transmits,
+    demodulates and builds its effective channel once on the (rows, N)
+    arrays, and each receiver equalizes and demaps once. Returns, per
+    receiver, each row's (bit errors, summed squared symbol error), or None
+    where a ZF row hit an exact zero and that receiver's equalize raised
+    SingularChannelError for the whole batch."""
+    n = receivers[0][0].n
     bits_per = constellation.bits_per_symbol
     frame = n + l - 1
     rows = len(seed_keys)
@@ -203,63 +212,96 @@ def _ber_trial(plan, constellation, detector: Detector, l: int, sigma2: np.ndarr
             noise[r] = awgn(rng, frame, sigma2[r])
     ch = ChannelRealization(taps=taps, n=n)
     symbols = qam_map(bits, constellation)
-    x = modulate(plan, symbols)
-    received = transmit(add_cp(x, l), ch, sigma2, noise=noise)
-    demod = demodulate(plan, remove_cp(received, l))
-    eff = effective_channel(plan.scheme, ch, plan.transform)
-    spec = DetectorSpec.zf() if detector is Detector.ZF else DetectorSpec.mmse(sigma2)
-    estimates = equalize(spec, eff, demod)
-    decided = qam_demap(estimates, constellation)
-    return np.count_nonzero(decided != bits, axis=1)
+    received = {}
+    results = []
+    for plan, detector in receivers:
+        if plan.scheme not in received:
+            x = modulate(plan, symbols)
+            frames = transmit(add_cp(x, l), ch, sigma2, noise=noise)
+            received[plan.scheme] = (demodulate(plan, remove_cp(frames, l)),
+                                     effective_channel(plan.scheme, ch, plan.transform))
+        demod, eff = received[plan.scheme]
+        spec = DetectorSpec.zf() if detector is Detector.ZF else DetectorSpec.mmse(sigma2)
+        try:
+            estimates = equalize(spec, eff, demod)
+        except SingularChannelError:
+            results.append(None)
+            continue
+        decided = qam_demap(estimates, constellation)
+        results.append((np.count_nonzero(decided != bits, axis=1),
+                        np.sum(np.abs(estimates - symbols) ** 2, axis=1)))
+    return results
+
+
+def ber_curves(schemes, detectors, n: int, l: int, constellation: QamConstellation,
+               snr_grid_db: np.ndarray, trials: int, seed: int) -> list[CurveResult]:
+    """Bit error rate per SNR point of every (scheme, detector) receiver, in
+    ``for scheme ... for detector ...`` order, over fresh channel, symbols
+    and noise per trial. Every receiver sees the same draws.
+
+    The (point, trial) rows run through ``_ber_trial`` in batches of
+    ``_BER_CHUNK``, with one plan per scheme. A receiver whose ZF equalizer
+    hits a singular draw in a batch reruns that batch one row at a time,
+    each row on attempts 0, 1, ... of its own stream until one equalizes;
+    every attempt that fails counts as a resampled trial of that curve. The
+    other receivers keep the batch's attempt-0 results. Each curve also
+    carries its summed squared symbol error per point."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 1 <= l <= n:
+        raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
+    if not schemes or not detectors:
+        raise ValueError("need at least one scheme and one detector")
+    snr_grid_db = np.asarray(snr_grid_db, dtype=np.float64)
+    sigma2 = noise_variance(snr_grid_db)
+    plans = {scheme: make_plan(scheme, n) for scheme in schemes}
+    receivers = [(plans[scheme], detector) for scheme in schemes for detector in detectors]
+    points = snr_grid_db.shape[0]
+    errors = np.zeros((len(receivers), points * trials), dtype=np.int64)
+    squared = np.zeros((len(receivers), points * trials))
+    resamples = [0] * len(receivers)
+
+    def run(chosen: list, rows: np.ndarray, attempt: int) -> list:
+        keys = [(seed, *divmod(int(row), trials)) for row in rows]
+        return _ber_trial(chosen, constellation, l, sigma2[rows // trials], keys, attempt)
+
+    for start in range(0, points * trials, _BER_CHUNK):
+        rows = np.arange(start, min(start + _BER_CHUNK, points * trials))
+        for i, result in enumerate(run(receivers, rows, 0)):
+            if result is not None:
+                errors[i, rows], squared[i, rows] = result
+                continue
+            for row in rows[:, None]:
+                for attempt in range(_MAX_RESAMPLES_PER_TRIAL):
+                    (result,) = run([receivers[i]], row, attempt)
+                    if result is not None:
+                        errors[i, row], squared[i, row] = result
+                        break
+                    resamples[i] += 1
+                else:
+                    raise RuntimeError(
+                        f"exceeded {_MAX_RESAMPLES_PER_TRIAL} singular-channel resamples")
+
+    bits_per_trial = n * constellation.bits_per_symbol
+    curves = []
+    for i, (plan, detector) in enumerate(receivers):
+        values = errors[i].reshape(points, trials).sum(axis=1) / (trials * bits_per_trial)
+        ci_low, ci_high = _binomial_ci(values, trials * bits_per_trial)
+        curves.append(CurveResult(
+            scheme=plan.scheme, detector=detector, n=n, l=l, m=constellation.m,
+            grid=snr_grid_db, values=values, ci_low=ci_low, ci_high=ci_high,
+            trials=trials, seed=seed, metadata={"resampled_trials": resamples[i]},
+            squared_error=squared[i].reshape(points, trials).sum(axis=1)))
+    return curves
 
 
 def ber_curve(scheme: Scheme, detector: Detector, n: int, l: int,
               constellation: QamConstellation, snr_grid_db: np.ndarray,
               trials: int, seed: int) -> CurveResult:
-    """Bit error rate per SNR point over fresh channel, symbols, and noise
-    per trial. Exactly singular ZF draws are resampled and counted.
-
-    The (point, trial) rows run through ``_ber_trial`` in batches of
-    ``_BER_CHUNK``. A batch that hits a singular draw is rerun one row at a
-    time, each row on attempts 0, 1, ... of its own stream until one
-    equalizes; every attempt that fails counts as a resampled trial."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 1 <= l <= n:
-        raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
-    snr_grid_db = np.asarray(snr_grid_db, dtype=np.float64)
-    sigma2 = noise_variance(snr_grid_db)
-    plan = make_plan(scheme, n)
-    bits_per_trial = n * constellation.bits_per_symbol
-    points = snr_grid_db.shape[0]
-    errors = np.zeros(points * trials, dtype=np.int64)
-    resamples = 0
-
-    def run(rows: np.ndarray, attempt: int) -> np.ndarray:
-        keys = [(seed, *divmod(int(row), trials)) for row in rows]
-        return _ber_trial(plan, constellation, detector, l, sigma2[rows // trials], keys, attempt)
-
-    for start in range(0, points * trials, _BER_CHUNK):
-        rows = np.arange(start, min(start + _BER_CHUNK, points * trials))
-        try:
-            errors[rows] = run(rows, 0)
-        except SingularChannelError:
-            for row in rows:
-                for attempt in range(_MAX_RESAMPLES_PER_TRIAL):
-                    try:
-                        errors[row] = run(np.array([row]), attempt)[0]
-                        break
-                    except SingularChannelError:
-                        resamples += 1
-                else:
-                    raise RuntimeError(
-                        f"exceeded {_MAX_RESAMPLES_PER_TRIAL} singular-channel resamples")
-
-    values = errors.reshape(points, trials).sum(axis=1) / (trials * bits_per_trial)
-    ci_low, ci_high = _binomial_ci(values, trials * bits_per_trial)
-    return CurveResult(scheme=scheme, detector=detector, n=n, l=l, m=constellation.m,
-                       grid=snr_grid_db, values=values, ci_low=ci_low, ci_high=ci_high,
-                       trials=trials, seed=seed, metadata={"resampled_trials": resamples})
+    """The BER curve of one receiver: ``ber_curves`` with a single scheme and
+    detector, so its values equal that receiver's curve in any larger call."""
+    return ber_curves((scheme,), (detector,), n, l, constellation, snr_grid_db,
+                      trials, seed)[0]
 
 
 @dataclass(frozen=True)

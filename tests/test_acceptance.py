@@ -10,17 +10,16 @@ import math
 import numpy as np
 import pytest
 
-from rpsdm.channel import (ChannelRealization, add_cp, circulant_matrix, draw_channel,
-                           effective_channel, is_skew_circulant,
-                           is_stair_block_diagonal, is_toeplitz, remove_cp, transmit)
+from rpsdm.channel import (ChannelRealization, circulant_matrix, draw_channel,
+                           effective_channel, is_skew_circulant, is_stair_block_diagonal,
+                           is_toeplitz)
 from rpsdm.cli import main as cli_main
-from rpsdm.detection import (Detector, DetectorSpec, QamConstellation,
-                             SingularChannelError, equalize, qam_demap, qam_map)
-from rpsdm.metrics import (ber_curve, ccdf_crossing, complexity_report, papr_ccdf,
-                           worst_case_papr)
+from rpsdm.detection import Detector, QamConstellation
+from rpsdm.metrics import ber_curves as run_ber_curves
+from rpsdm.metrics import ccdf_crossing, complexity_report, papr_ccdf, worst_case_papr
 from rpsdm.number_theory import divisor_set, totient
 from rpsdm.ramanujan import build_transform, dft_support, ramanujan_sum
-from rpsdm.transforms import Scheme, demodulate, make_plan, modulate, sparse_irpt
+from rpsdm.transforms import Scheme, make_plan, modulate, sparse_irpt
 
 QAM16 = QamConstellation.from_order(16)
 
@@ -157,11 +156,9 @@ def test_criterion_4_ccdf_reproduction():
 #   the pinned detector promises: on this fixture the OFDM leg loses to ZF
 #   at 0, 5 and 15 dB (1.440e-1 vs 1.367e-1 at 0 dB), beyond _mc_band.
 #   What the detector does promise is the minimum mean-square error, so 5c
-#   replays the fixture's draws (same per-trial keys as ber_curve), feeds
-#   each draw's effective channel to both equalizers, and asserts that the
-#   summed MMSE squared symbol error is at most ZF's for both schemes at
-#   every SNR point. The replay must also reproduce the fixture's bit
-#   errors exactly, so the MSE and BER figures describe the same draws.
+#   reads the summed squared symbol error that the BER engine records for
+#   every receiver on the fixture's own draws, and asserts that MMSE's is at
+#   most ZF's for both schemes at every SNR point.
 
 BER_N, BER_L, BER_SEED = 128, 8, 510
 BER_SNR = np.array([0.0, 5.0, 15.0, 25.0])
@@ -170,13 +167,9 @@ BER_TRIALS = 1563  # 2e5 symbols per point (criterion floor is 1e5)
 
 @pytest.fixture(scope="module")
 def ber_curves():
-    curves = {}
-    for scheme in (Scheme.OFDM, Scheme.RPSDM):
-        for detector in (Detector.ZF, Detector.MMSE):
-            curves[(scheme, detector)] = ber_curve(
-                scheme, detector, BER_N, BER_L, QAM16, BER_SNR, BER_TRIALS,
-                BER_SEED)
-    return curves
+    curves = run_ber_curves((Scheme.OFDM, Scheme.RPSDM), (Detector.ZF, Detector.MMSE),
+                            BER_N, BER_L, QAM16, BER_SNR, BER_TRIALS, BER_SEED)
+    return {(curve.scheme, curve.detector): curve for curve in curves}
 
 
 def _mc_band(p: float) -> float:
@@ -211,49 +204,16 @@ def test_criterion_5b_low_snr_reversal(ber_curves):
            f"zf@5dB ofdm {ofdm[1]:.3e} rpsdm {rpsdm[1]:.3e}")
 
 
-def _replay_equalizer_errors(scheme: Scheme) -> tuple[np.ndarray, np.ndarray]:
-    """Squared symbol errors and bit errors of ZF (row 0) and MMSE (row 1)
-    per SNR point, over the draws ber_curve makes for the fixture."""
-    plan = make_plan(scheme, BER_N)
-    squared = np.zeros((2, BER_SNR.shape[0]))
-    bit_errors = np.zeros((2, BER_SNR.shape[0]), dtype=np.int64)
-    for p, snr_db in enumerate(BER_SNR):
-        sigma2 = 10.0 ** (-snr_db / 10.0)
-        specs = (DetectorSpec.zf(), DetectorSpec.mmse(sigma2))
-        for t in range(BER_TRIALS):
-            attempt = 0
-            while True:
-                rng = np.random.default_rng([BER_SEED, p, t, attempt])
-                ch = draw_channel(rng, BER_L, BER_N)
-                bits = rng.integers(0, 2, BER_N * QAM16.bits_per_symbol)
-                symbols = qam_map(bits, QAM16)
-                frame = transmit(add_cp(modulate(plan, symbols), BER_L), ch, sigma2, rng)
-                demod = demodulate(plan, remove_cp(frame, BER_L))
-                eff = effective_channel(scheme, ch, plan.transform)
-                try:
-                    estimates = [equalize(spec, eff, demod) for spec in specs]
-                    break
-                except SingularChannelError:
-                    attempt += 1
-            for d, estimate in enumerate(estimates):
-                squared[d, p] += np.sum(np.abs(estimate - symbols) ** 2)
-                bit_errors[d, p] += np.count_nonzero(qam_demap(estimate, QAM16) != bits)
-    return squared, bit_errors
-
-
 @pytest.mark.slow
 def test_criterion_5c_mmse_never_worse(ber_curves):
     failures = []
     symbols_per_point = BER_TRIALS * BER_N
     mse = {}
     for scheme in (Scheme.OFDM, Scheme.RPSDM):
-        squared, bit_errors = _replay_equalizer_errors(scheme)
+        # ZF in row 0, MMSE in row 1, one column per SNR point
+        squared = np.array([ber_curves[(scheme, detector)].squared_error
+                            for detector in (Detector.ZF, Detector.MMSE)])
         mse[scheme] = squared / symbols_per_point
-        for d, detector in enumerate((Detector.ZF, Detector.MMSE)):
-            replayed = bit_errors[d] / (symbols_per_point * QAM16.bits_per_symbol)
-            if not np.array_equal(replayed, ber_curves[(scheme, detector)].values):
-                failures.append(f"{scheme.value}-{detector.value}: replayed BER {replayed}"
-                                " does not reproduce the fixture's draws")
         for idx, snr_db in enumerate(BER_SNR):
             if not squared[1, idx] <= squared[0, idx]:
                 zf_mse, mmse_mse = mse[scheme][:, idx]

@@ -37,6 +37,17 @@ RUNS = {
     "ber-n24-chunks": ["ber", "--n", "24", "--l", "5", "--m", "4", "--snr", "0:30:10",
                        "--trials", "100", "--seed", "13", "--scheme", "both",
                        "--detector", "both", "--output", "ber.csv"],
+    # receiver subsets: the engine must emit curves for any of them; N=96
+    # MMSE takes the stacked per-block solve
+    "ber-n96-rpsdm-mmse": ["ber", "--n", "96", "--l", "8", "--m", "16", "--snr", "0:30:10",
+                           "--trials", "10", "--seed", "17", "--scheme", "rpsdm",
+                           "--detector", "mmse", "--output", "ber.csv"],
+    "ber-ofdm-zf": ["ber", "--n", "32", "--l", "6", "--m", "16", "--snr", "0:30:10",
+                    "--trials", "30", "--seed", "19", "--scheme", "ofdm",
+                    "--detector", "zf", "--output", "ber.csv"],
+    "ber-both-zf": ["ber", "--n", "24", "--l", "5", "--m", "4", "--snr", "0:30:10",
+                    "--trials", "40", "--seed", "23", "--scheme", "both",
+                    "--detector", "zf", "--output", "ber.csv"],
     "papr-ccdf": ["papr-ccdf", "--n", "64,128", "--m", "16", "--trials", "2000",
                   "--seed", "1", "--thresholds", "0:14:0.25", "--output", "ccdf.csv"],
     "dump-basis": ["dump-basis", "--n", "16", "--output", "basis"],
@@ -46,6 +57,10 @@ RUNS = {
 }
 
 GOLDEN = {
+    'ber-both-zf': {
+        'stdout': '01f66fc7d29206bf96e3c76b9d570a4f92fa47ed3780abc0577782f16dc66731',
+        'ber.csv': '27b9c6c8679108b7e0f6245e588265181f6765e5a9ac8851ecb2c7aae138f836',
+    },
     'ber-n1-l1': {
         'stdout': 'e22bda53836262eaf617eb759ebeb76882f0f87c110f00722dbc8b18062dfe5a',
         'ber.csv': 'da10dbdad014abbdf92360ef3f27204bf8800edeb11bf2e2e06f39b0a2125aa2',
@@ -69,6 +84,14 @@ GOLDEN = {
     'ber-n96-json': {
         'stdout': 'c815f0b6fc02c81e153346b4c0db54af46250cc93ab0622d0e5c4bbda54e1fdf',
         'ber.json': '0d4a2b4f14f5fd26646dac8293903df91591dea321dff45c6a931256dba17bcf',
+    },
+    'ber-n96-rpsdm-mmse': {
+        'stdout': '29d34d8f753b1ebac8367737973ade4221811ab0feaacd61f98470bdf11012da',
+        'ber.csv': 'd4df2f159efdd450e45394ec6f9308589628dbe01b837c91247b98f36438b935',
+    },
+    'ber-ofdm-zf': {
+        'stdout': 'f244f62123bca2f16212438af4f08d3fb02af3f0ccb3f8986eb9840e4caaab17',
+        'ber.csv': '37000f20ecad2ad6ab15f570a8ea14a9820aeac449f0262dfa9010f31383b96f',
     },
     'complexity': {
         'stdout': '99208376f9045d8ecf36e7342aa481061a8974080e2042833671bc9fb59d96a4',

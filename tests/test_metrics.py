@@ -9,7 +9,7 @@ import rpsdm.metrics
 from rpsdm.channel import ChannelRealization, add_cp, effective_channel, remove_cp, transmit
 from rpsdm.detection import (Detector, DetectorSpec, QamConstellation, SingularChannelError,
                              equalize, qam_demap, qam_map)
-from rpsdm.metrics import (ber_curve, ccdf_crossing, complexity_report,
+from rpsdm.metrics import (ber_curve, ber_curves, ccdf_crossing, complexity_report,
                            gamma_coefficient, papr, papr_ccdf, papr_db,
                            worst_case_papr)
 from rpsdm.number_theory import totient
@@ -172,6 +172,48 @@ class TestBerCurve:
         for snr in (np.inf, np.nan, -4000.0, 3300.0):
             with pytest.raises(ValueError, match="noise variance"):
                 ber_curve(Scheme.OFDM, Detector.MMSE, 8, 2, QAM16, np.array([5.0, snr]), 1, 0)
+        with pytest.raises(ValueError, match="one scheme and one detector"):
+            ber_curves((Scheme.OFDM,), (), 8, 2, QAM16, np.array([5.0]), 1, 0)
+
+
+SCHEMES = (Scheme.OFDM, Scheme.RPSDM)
+DETECTORS = (Detector.ZF, Detector.MMSE)
+
+
+class TestBerEngine:
+    """``ber_curves`` runs every receiver on one set of draws; each curve is
+    the one its receiver gives alone."""
+
+    @pytest.mark.parametrize("n, l, trials", [(1, 1, 20), (12, 4, 10), (24, 5, 30),
+                                              (128, 8, 3)])
+    def test_each_curve_equals_its_single_receiver_run(self, n, l, trials):
+        # N=24 with 4 points x 30 trials: 120 rows, more than one chunk
+        grid = np.array([0.0, 10.0, 20.0, 30.0])
+        curves = ber_curves(SCHEMES, DETECTORS, n, l, QAM16, grid, trials, seed=31)
+        assert [(c.scheme, c.detector) for c in curves] == [
+            (s, d) for s in SCHEMES for d in DETECTORS]
+        for curve in curves:
+            alone = ber_curve(curve.scheme, curve.detector, n, l, QAM16, grid, trials, seed=31)
+            for attr in ("values", "ci_low", "ci_high", "squared_error"):
+                assert getattr(curve, attr).tobytes() == getattr(alone, attr).tobytes()
+            assert curve.metadata == alone.metadata
+
+    def test_one_plan_per_scheme_and_one_draw_per_row(self, monkeypatch):
+        calls = {"make_plan": 0, "draw_channel": 0}
+
+        def counted(name):
+            original = getattr(rpsdm.metrics, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(rpsdm.metrics, name, counted(name))
+        grid = np.array([0.0, 10.0, 20.0])
+        ber_curves(SCHEMES, DETECTORS, 16, 4, QAM16, grid, trials=30, seed=32)
+        assert calls == {"make_plan": 2, "draw_channel": 3 * 30}
 
 
 #: (point, trial) -> how many leading attempts draw the singular channel
@@ -195,13 +237,14 @@ def forced_draw_channel(real_draw, singular=SINGULAR_ATTEMPTS):
 
 
 def replay_ber(scheme, detector, n, l, qam, snr_grid_db, trials, seed, draw):
-    """Per-trial scalar replay of ber_curve's draws: (BER per point, resamples)."""
+    """Per-trial scalar replay of ber_curve's draws: (BER per point, resamples,
+    summed squared symbol error per point)."""
     plan = make_plan(scheme, n)
-    values, resamples = [], 0
+    values, squared, resamples = [], [], 0
     for p, snr_db in enumerate(snr_grid_db):
         sigma2 = 10.0 ** (-snr_db / 10.0)
         spec = DetectorSpec.zf() if detector is Detector.ZF else DetectorSpec.mmse(sigma2)
-        errors = 0
+        errors, point_squared = 0, 0.0
         for t in range(trials):
             attempt = 0
             while True:
@@ -219,8 +262,10 @@ def replay_ber(scheme, detector, n, l, qam, snr_grid_db, trials, seed, draw):
                     attempt += 1
             resamples += attempt
             errors += np.count_nonzero(qam_demap(estimates, qam) != bits)
+            point_squared += np.sum(np.abs(estimates - symbols) ** 2)
         values.append(errors / (trials * n * qam.bits_per_symbol))
-    return np.array(values), resamples
+        squared.append(point_squared)
+    return np.array(values), resamples, np.array(squared)
 
 
 class TestSingularResampling:
@@ -238,11 +283,30 @@ class TestSingularResampling:
         monkeypatch.setattr(rpsdm.metrics, "draw_channel", draw)
         monkeypatch.setattr(rpsdm.metrics, "_BER_CHUNK", chunk)
         curve = ber_curve(scheme, detector, 4, 2, QAM16, self.GRID, trials=6, seed=21)
-        values, resamples = replay_ber(scheme, detector, 4, 2, QAM16, self.GRID, 6, 21, draw)
+        values, resamples, squared = replay_ber(scheme, detector, 4, 2, QAM16, self.GRID,
+                                                6, 21, draw)
         expected = sum(SINGULAR_ATTEMPTS.values()) if detector is Detector.ZF else 0
         assert resamples == expected
         assert curve.metadata["resampled_trials"] == expected
         assert np.array_equal(curve.values, values)
+        np.testing.assert_allclose(curve.squared_error, squared, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_only_the_singular_receiver_resamples(self, monkeypatch, chunk):
+        # all four receivers in one call: the ZF ones rerun their rows, the
+        # MMSE ones keep attempt 0, and every curve still equals its replay
+        draw = forced_draw_channel(rpsdm.metrics.draw_channel)
+        monkeypatch.setattr(rpsdm.metrics, "draw_channel", draw)
+        monkeypatch.setattr(rpsdm.metrics, "_BER_CHUNK", chunk)
+        curves = ber_curves(SCHEMES, DETECTORS, 4, 2, QAM16, self.GRID, trials=6, seed=21)
+        singular = sum(SINGULAR_ATTEMPTS.values())
+        assert [c.metadata["resampled_trials"] for c in curves] == [singular, 0, singular, 0]
+        for curve in curves:
+            values, resamples, squared = replay_ber(curve.scheme, curve.detector, 4, 2, QAM16,
+                                                    self.GRID, 6, 21, draw)
+            assert curve.metadata["resampled_trials"] == resamples
+            assert np.array_equal(curve.values, values)
+            np.testing.assert_allclose(curve.squared_error, squared, rtol=1e-12, atol=0)
 
     def test_endless_singular_draws_raise(self, monkeypatch):
         always = {(0, 0): np.inf}
