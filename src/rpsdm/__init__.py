@@ -3,14 +3,13 @@ OFDM: integer periodic transforms, cyclic-prefix channel simulation, ZF/MMSE
 detection, and PAPR / BER / complexity experiments."""
 
 from .number_theory import DivisorSet, divisor_count, divisor_set, gcd, mobius, totient
-from .ramanujan import (NumericalError, PeriodicTransform, RamanujanSum, SubspaceBasis,
-                        build_transform, circulant_integer_matrix, dft_support,
-                        ramanujan_sum, subspace_basis)
+from .ramanujan import (NumericalError, PeriodicTransform, RamanujanSum, build_transform,
+                        circulant_integer_matrix, dft_support, ramanujan_sum, subspace_basis)
 from .transforms import (FlopCount, ModulatorPlan, Scheme, demodulate, direct_flops,
                          fast_flops, make_plan, modulate, sparse_irpt,
                          synthesize_by_subspaces)
-from .channel import (ChannelRealization, EffectiveChannel, add_cp, circulant_from_column,
-                      circulant_matrix, draw_channel, effective_channel,
+from .channel import (ChannelRealization, EffectiveChannel, add_cp, awgn,
+                      circulant_from_column, circulant_matrix, draw_channel, effective_channel,
                       is_skew_circulant, is_stair_block_diagonal, is_toeplitz,
                       remove_cp, structure_report, transmit)
 from .detection import (Detector, DetectorSpec, QamConstellation, SingularChannelError,
@@ -25,7 +24,7 @@ __all__ = [
     "ChannelRealization", "ComplexityRow", "CurveResult", "Detector", "DetectorSpec",
     "DivisorSet", "EffectiveChannel", "FlopCount", "ModulatorPlan", "NumericalError",
     "PeriodicTransform", "QamConstellation", "RamanujanSum", "Scheme",
-    "SingularChannelError", "SubspaceBasis", "add_cp", "ber_curve", "ber_curves",
+    "SingularChannelError", "add_cp", "awgn", "ber_curve", "ber_curves",
     "build_transform", "ccdf_crossing", "circulant_from_column",
     "circulant_integer_matrix", "circulant_matrix", "complexity_report", "demodulate",
     "dft_support", "direct_flops", "divisor_count", "divisor_set", "draw_channel",

@@ -28,7 +28,8 @@ blocks stay block diagonal but are not Toeplitz in general.
 
 The framing, ``transmit`` and ``effective_channel`` also take a batch with
 rows first (one frame, tap row and noise draw per row), giving each row the
-bytes of its own call.
+bytes of its own call. ``transmit`` draws nothing: the caller draws each
+frame's noise with ``awgn`` from that frame's stream and passes it in.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def draw_channel(rng, l: int, n: int) -> ChannelRealization:
     """
     if not 1 <= l <= n:
         raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     taps = (rng.standard_normal(l) + 1j * rng.standard_normal(l)) / np.sqrt(2.0)
     return ChannelRealization(taps=taps, n=n)
 
@@ -94,48 +95,34 @@ def remove_cp(frame: np.ndarray, l: int) -> np.ndarray:
 def awgn(rng: np.random.Generator, k: int, sigma2: float) -> np.ndarray:
     """k samples of complex AWGN with total variance sigma2 per sample: k real
     parts, then k imaginary parts, each of variance sigma2 / 2."""
+    if sigma2 < 0:
+        raise ValueError(f"noise variance must be >= 0, got {sigma2}")
     return (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * np.sqrt(sigma2 / 2.0)
 
 
-def transmit(x_cp: np.ndarray, ch: ChannelRealization, sigma2, rng=None,
+def transmit(x_cp: np.ndarray, ch: ChannelRealization,
              noise: np.ndarray | None = None) -> np.ndarray:
     """Tapped-delay-line output y[n] = sum_l h_l x_cp[n-l] + w[n].
 
-    The linear convolution is truncated to the frame length; AWGN with total
-    variance sigma2 per complex sample is added across the whole frame, drawn
-    from ``rng`` by ``awgn`` unless ``noise`` gives it already drawn. After
-    CP removal the noise-free output equals the circulant product.
-
-    A batch passes each row of ``x_cp`` through the matching row of
-    ``ch.taps``; ``sigma2`` is then one variance per row, and ``noise`` holds
-    each noisy row's ``awgn`` draw (rows with sigma2 = 0 get none).
+    The linear convolution is truncated to the frame length, and ``noise``
+    (an ``awgn`` draw of the frame's shape), if given, is added across the
+    whole frame. After CP removal the noise-free output equals the circulant
+    product. A batch passes each row of ``x_cp`` through the matching row of
+    ``ch.taps`` and adds the matching row of ``noise``.
     """
     x_cp = np.asarray(x_cp)
     k = x_cp.shape[-1]
     if k != ch.n + ch.l - 1:
         raise ValueError(f"frame length {k} != n + l - 1 = {ch.n + ch.l - 1}")
+    if noise is not None and np.shape(noise) != x_cp.shape:
+        raise ValueError(f"noise shape {np.shape(noise)} != frame shape {x_cp.shape}")
     if x_cp.ndim == 1:
         y = np.convolve(x_cp, ch.taps)[:k]
     else:
         y = np.empty(x_cp.shape, dtype=np.result_type(x_cp, ch.taps))
         for r, (frame, taps) in enumerate(zip(x_cp, ch.taps)):
             y[r] = np.convolve(frame, taps)[:k]
-    variance = np.asarray(sigma2)
-    if (variance < 0).any():
-        raise ValueError(f"noise variance must be >= 0, got {sigma2}")
-    noisy = variance > 0
-    if noise is None and noisy.any():
-        if rng is None:
-            raise ValueError("an rng is required when sigma2 > 0")
-        if x_cp.ndim != 1:
-            raise ValueError("a batch takes each row's noise already drawn (awgn)")
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-        noise = awgn(rng, k, sigma2)
-    if noisy.all():
-        y = y + noise
-    elif noisy.any():
-        y[noisy] += noise[noisy]
-    return y
+    return y if noise is None else y + noise
 
 
 def circulant_matrix(ch: ChannelRealization) -> np.ndarray:

@@ -5,9 +5,9 @@ Every value a command needs can come from a ``key = value`` config file
 (``--config``); command-line flags override file entries. Both go through
 the same parser, declared once per option in ``OPTIONS``. Stochastic
 commands require an explicit ``--seed`` (no wall-clock seeding) and rerunning
-with the same configuration produces byte-identical files. BER trials run
-serially; ``--workers`` and RPSDM_THREADS are still validated but select
-nothing.
+with the same configuration produces byte-identical files. A config-file
+key that names no option is an error, as a misspelled flag is. BER trials
+run serially; ``--workers`` is validated but selects nothing.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -126,8 +126,7 @@ OPTIONS = {
     "trials": (_parse_at_least(1), "Monte Carlo trials (per SNR point for ber)"),
     "scheme": (_parse_both(Scheme), "ofdm, rpsdm, or both (decompose: one)"),
     "detector": (_parse_both(Detector), "zf, mmse, or both"),
-    "workers": (_parse_at_least(1),
-                "accepted and validated (>= 1, or RPSDM_THREADS) but unused: "
+    "workers": (_parse_at_least(1), "accepted and validated (>= 1) but unused: "
                 "trials run serially"),
 }
 
@@ -144,7 +143,10 @@ def read_config_file(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
                 key, value = line.split("=", 1)
-                entries[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip().replace("-", "_")
+                if key not in OPTIONS:
+                    raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
+                entries[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return entries
@@ -184,16 +186,6 @@ def _multipath_count(args, n: int) -> int:
     if not 1 <= l <= n:
         raise ConfigError(f"need 1 <= l <= n, got l={l}, n={n}")
     return l
-
-
-def _check_workers(args) -> None:
-    """Validate ``--workers`` (or, without it, RPSDM_THREADS); the count
-    selects nothing."""
-    if _resolve(args, "workers") is None:
-        try:
-            OPTIONS["workers"][0](os.environ.get("RPSDM_THREADS", "1"))
-        except ValueError as exc:
-            raise ConfigError(f"RPSDM_THREADS: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +360,7 @@ def _cmd_ber(args) -> tuple[str, dict[str, str]]:
     schemes = _resolve(args, "scheme", default=list(Scheme))
     detectors = _resolve(args, "detector", default=list(Detector))
     snr = _resolve(args, "snr", default=_parse_grid("0:30:5"))
-    _check_workers(args)
+    _resolve(args, "workers")  # validated only: trials run serially
     constellation = QamConstellation.from_order(m)
     curves = ber_curves(schemes, detectors, n, l, constellation, snr, trials, seed)
     lines = [f"BER, n={n}, l={l}, {m}-QAM, {trials} trials/point, seed {seed}"]

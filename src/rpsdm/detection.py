@@ -11,9 +11,9 @@ e_r @ ifft(W * fft(forward @ y)), with no block matrix formed. MMSE at
 other N, integer-basis channels and channels given as an explicit matrix
 take the per-block solve of the regularized normal equations, which is
 also the reference the tests hold the per-bin route to. The route follows from N and the detector
-alone. Bit labels use Gray coding per axis; symbols are normalized to unit
-average energy inside the simulation chain so sigma^2 parameterizes both
-the SNR and the MMSE regularizer. ``equalize``, ``qam_map`` and
+alone. Bit labels use Gray coding per axis; ``qam_map`` and ``qam_demap``
+work on symbols normalized to unit average energy, so sigma^2 parameterizes
+both the SNR and the MMSE regularizer. ``equalize``, ``qam_map`` and
 ``qam_demap`` also take a batch with rows first (the BER engine's (rows, N)
 arrays, with one zeta per row), giving each row the bytes of its own call.
 A ZF batch with an exactly singular row raises one SingularChannelError for
@@ -216,11 +216,10 @@ def _ints_to_bits(values: np.ndarray, width: int) -> np.ndarray:
     return (values[:, None] >> shifts) & 1
 
 
-def qam_map(bits: np.ndarray, constellation: QamConstellation,
-            normalize: bool = True) -> np.ndarray:
-    """Gray-labelled bits to complex symbols (first half of each symbol's
-    bits drives the in-phase axis, second half the quadrature axis); a
-    (rows, bits) batch maps to (rows, symbols)."""
+def qam_map(bits: np.ndarray, constellation: QamConstellation) -> np.ndarray:
+    """Gray-labelled bits to unit-energy complex symbols (first half of each
+    symbol's bits drives the in-phase axis, second half the quadrature axis);
+    a (rows, bits) batch maps to (rows, symbols)."""
     raw = np.asarray(bits)
     bits = raw.astype(np.int64, copy=False)
     k = constellation.bits_per_symbol
@@ -232,19 +231,16 @@ def qam_map(bits: np.ndarray, constellation: QamConstellation,
         raise ValueError("bits must be 0/1")
     labels = _bits_to_ints(bits.reshape(-1, k))
     symbols = constellation.label_points[labels.reshape(bits.shape[:-1] + (-1,))]
-    return symbols * constellation.unit_scale if normalize else symbols
+    return symbols * constellation.unit_scale
 
 
-def qam_demap(symbols: np.ndarray, constellation: QamConstellation,
-              normalize: bool = True) -> np.ndarray:
-    """Nearest-point hard decision back to Gray-labelled bits, per row of a
-    batch. Each axis is scaled and decided on its own, so a non-finite
-    component cannot disturb the other one."""
+def qam_demap(symbols: np.ndarray, constellation: QamConstellation) -> np.ndarray:
+    """Nearest-point hard decision from unit-energy symbols back to
+    Gray-labelled bits, per row of a batch. Each axis is scaled and decided
+    on its own, so a non-finite component cannot disturb the other one."""
     symbols = np.ascontiguousarray(symbols, dtype=np.complex128)
-    axes = symbols.view(np.float64).reshape(*symbols.shape, 2)
-    if normalize:
-        # bitwise the complex quotient symbols / unit_scale on finite input
-        axes = axes * (1.0 / constellation.unit_scale)
+    # bitwise the complex quotient symbols / unit_scale on finite input
+    axes = symbols.view(np.float64).reshape(*symbols.shape, 2) * (1.0 / constellation.unit_scale)
     side = constellation.side
     idx = np.clip(np.rint((axes + side - 1) / 2.0), 0, side - 1).astype(np.int64)
     # a NaN estimate casts to an arbitrary integer; the clipping take keeps

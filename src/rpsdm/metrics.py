@@ -4,15 +4,16 @@ Monte Carlo determinism: every trial draws from its own stream seeded by
 (master seed, curve point index, trial index, attempt), so curves are
 bit-identical regardless of chunking. One BER engine (``ber_curves``) runs
 every requested receiver on the same draws: each (point, trial) row's stream
-draws its taps, bits and noise once, each scheme modulates, transmits and
-demodulates them once, and each (scheme, detector) receiver equalizes and
-demaps them. Every stage runs once per chunk of rows on (rows, N) arrays,
-giving each row the bytes of its own 1-D call, so a curve does not depend on
-the chunk size, on which rows share a batch, or on which other receivers run
-beside it. A receiver whose ZF equalizer draws an exactly singular channel in
-a batch reruns that batch a row at a time, each row redrawn from its next
-attempt's stream until it equalizes; the other receivers keep the batch. SNR
-is Es/N0 with unit-power symbols: sigma^2 = 10^(-SNR/10).
+draws its taps, bits and noise once (``transmit`` adds the drawn noise and
+draws none itself), each scheme modulates, transmits and demodulates them
+once, and each (scheme, detector) receiver equalizes and demaps them.
+Every stage runs once per chunk of rows on (rows, N) arrays, giving each row
+the bytes of its own 1-D call, so a curve does not depend on the chunk size,
+on which rows share a batch, or on which other receivers run beside it. A
+receiver whose ZF equalizer draws an exactly singular channel in a batch
+reruns that batch a row at a time, each row redrawn from its next attempt's
+stream until it equalizes; the other receivers keep the batch. SNR is Es/N0
+with unit-power symbols: sigma^2 = 10^(-SNR/10).
 """
 
 from __future__ import annotations
@@ -208,8 +209,7 @@ def _ber_trial(receivers, constellation, l: int, sigma2: np.ndarray,
         rng = np.random.default_rng([*key, attempt])
         taps[r] = draw_channel(rng, l, n).taps
         bits[r] = rng.integers(0, 2, n * bits_per)
-        if sigma2[r] > 0:
-            noise[r] = awgn(rng, frame, sigma2[r])
+        noise[r] = awgn(rng, frame, sigma2[r])
     ch = ChannelRealization(taps=taps, n=n)
     symbols = qam_map(bits, constellation)
     received = {}
@@ -217,7 +217,7 @@ def _ber_trial(receivers, constellation, l: int, sigma2: np.ndarray,
     for plan, detector in receivers:
         if plan.scheme not in received:
             x = modulate(plan, symbols)
-            frames = transmit(add_cp(x, l), ch, sigma2, noise=noise)
+            frames = transmit(add_cp(x, l), ch, noise)
             received[plan.scheme] = (demodulate(plan, remove_cp(frames, l)),
                                      effective_channel(plan.scheme, ch, plan.transform))
         demod, eff = received[plan.scheme]

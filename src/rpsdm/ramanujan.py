@@ -61,27 +61,16 @@ def circulant_integer_matrix(q: int) -> np.ndarray:
     return c[(rows[:, None] - rows) % q]
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """N x phi(q) integer basis of one Ramanujan subspace inside length N.
-
-    Column l is the tiled sequence c_q[(n - l) mod q]; every column is
-    q-periodic down the rows.
-    """
-
-    q: int
-    n_total: int
-    matrix: np.ndarray
-
-
-def subspace_basis(q: int, n_total: int) -> SubspaceBasis:
-    """First phi(q) shifted columns of the period-q circulant, tiled to n_total rows."""
+def subspace_basis(q: int, n_total: int) -> np.ndarray:
+    """N x phi(q) integer basis of one Ramanujan subspace inside length N:
+    the first phi(q) shifted columns of the period-q circulant, tiled to
+    n_total rows. Column l is c_q[(n - l) mod q], so every column is
+    q-periodic down the rows."""
     if n_total % q != 0:
         raise ValueError(f"q={q} must divide n_total={n_total}")
     c = ramanujan_sum(q).values
     rows = np.arange(n_total)
-    mat = c[(rows[:, None] - np.arange(totient(q))) % q]
-    return SubspaceBasis(q=q, n_total=n_total, matrix=mat)
+    return c[(rows[:, None] - np.arange(totient(q))) % q]
 
 
 @dataclass(frozen=True)
@@ -151,7 +140,7 @@ def build_transform(n: int) -> PeriodicTransform:
     e_t = np.empty((n, n), dtype=np.int64)
     q_norm = np.empty(n, dtype=np.float64)
     for q, phi, offset in layout.blocks():
-        e_t[:, offset:offset + phi] = subspace_basis(q, n).matrix
+        e_t[:, offset:offset + phi] = subspace_basis(q, n)
         q_norm[offset:offset + phi] = 1.0 / np.sqrt(n * phi)
     forward = e_t * q_norm  # column scaling
     if is_power_of_two(n):

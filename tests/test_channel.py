@@ -88,52 +88,59 @@ class TestTransmit:
     def test_identity_channel(self):
         ch = ChannelRealization(taps=np.array([1.0 + 0j]), n=6)
         x = np.arange(6, dtype=complex)
-        np.testing.assert_allclose(transmit(x, ch, 0.0), x, atol=1e-12)
+        np.testing.assert_allclose(transmit(x, ch), x, atol=1e-12)
 
     def test_cp_equivalence_with_circulant(self):
         for seed in range(10):
             rng = np.random.default_rng(seed)
             ch = draw_channel(rng, 4, 8)
             x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-            received = remove_cp(transmit(add_cp(x, ch.l), ch, 0.0), ch.l)
+            received = remove_cp(transmit(add_cp(x, ch.l), ch), ch.l)
             np.testing.assert_allclose(received, circulant_matrix(ch) @ x, atol=1e-9)
 
     def test_noise_statistics(self):
         # zero channel, unit-variance noise over 1e5 samples
         ch = ChannelRealization(taps=np.array([0.0 + 0j]), n=10 ** 5)
         x = np.zeros(10 ** 5, dtype=complex)
-        y = transmit(x, ch, 1.0, rng=np.random.default_rng(3))
+        y = transmit(x, ch, awgn(np.random.default_rng(3), 10 ** 5, 1.0))
         assert abs(np.mean(np.abs(y) ** 2) - 1.0) < 0.02
 
-    def test_noise_requires_rng(self):
-        ch = ChannelRealization(taps=np.array([1.0 + 0j]), n=4)
-        with pytest.raises(ValueError):
-            transmit(np.ones(4, dtype=complex), ch, 0.5)
+    def test_awgn_rejects_negative_variance(self):
+        with pytest.raises(ValueError, match="noise variance"):
+            awgn(np.random.default_rng(0), 4, -0.5)
 
     def test_rejects_wrong_frame_length(self):
         ch = ChannelRealization(taps=np.ones(3, dtype=complex), n=8)
         with pytest.raises(ValueError):
-            transmit(np.ones(8, dtype=complex), ch, 0.0)
+            transmit(np.ones(8, dtype=complex), ch)
+
+    def test_rejects_noise_of_another_shape(self):
+        # one frame's draw must not broadcast across every row of a batch
+        n, l = 8, 3
+        taps = np.ones((2, l), dtype=complex)
+        frames = np.ones((2, n + l - 1), dtype=complex)
+        one_frame = awgn(np.random.default_rng(0), n + l - 1, 0.5)
+        with pytest.raises(ValueError, match="noise shape"):
+            transmit(frames, ChannelRealization(taps=taps, n=n), one_frame)
+        with pytest.raises(ValueError, match="noise shape"):
+            transmit(frames[0], ChannelRealization(taps=taps[0], n=n), one_frame[:-1])
 
     def test_batch_rows_equal_one_dimensional_calls(self):
-        # row r of a batch goes through taps[r] with its own pre-drawn noise;
-        # the 1-D call draws that noise from the same stream itself, and a
-        # noise-free row gets none
+        # row r of a batch goes through taps[r] and adds noise[r], byte for
+        # byte as the 1-D call given the same noise row
         n, l = 12, 4
         rng = np.random.default_rng(9)
         taps = rng.standard_normal((3, l)) + 1j * rng.standard_normal((3, l))
         frames = rng.standard_normal((3, n + l - 1)) + 1j * rng.standard_normal((3, n + l - 1))
-        sigma2 = np.array([0.5, 0.0, 2.0])
-        noise = np.zeros_like(frames)
-        for r in (0, 2):
-            noise[r] = awgn(np.random.default_rng(r), n + l - 1, sigma2[r])
-        batch = transmit(frames, ChannelRealization(taps=taps, n=n), sigma2, noise=noise)
+        noise = np.stack([awgn(np.random.default_rng(r), n + l - 1, sigma2)
+                          for r, sigma2 in enumerate([0.5, 1e-3, 2.0])])
+        batch = transmit(frames, ChannelRealization(taps=taps, n=n), noise)
+        clean = transmit(frames, ChannelRealization(taps=taps, n=n))
         for r in range(3):
-            one = transmit(frames[r], ChannelRealization(taps=taps[r], n=n), sigma2[r],
-                           np.random.default_rng(r))
+            one = transmit(frames[r], ChannelRealization(taps=taps[r], n=n), noise[r])
             assert batch[r].tobytes() == one.tobytes()
-        with pytest.raises(ValueError, match="already drawn"):
-            transmit(frames, ChannelRealization(taps=taps, n=n), sigma2, rng=0)
+            one_clean = transmit(frames[r], ChannelRealization(taps=taps[r], n=n))
+            assert clean[r].tobytes() == one_clean.tobytes()
 
 
 class TestCirculantMatrix:

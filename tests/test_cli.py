@@ -156,23 +156,11 @@ class TestDeterminism:
         assert main(argv + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_ber_independent_of_worker_count(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = ["ber", "--n", "8", "--l", "3", "--snr", "5,15", "--trials", "25",
-                "--seed", "12"]
-        monkeypatch.setenv("RPSDM_THREADS", "1")
-        assert main(argv + ["--output", str(a)]) == 0
-        monkeypatch.setenv("RPSDM_THREADS", "4")
-        assert main(argv + ["--output", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     @pytest.mark.parametrize("workers, code", [("1", 0), ("2", 0), ("0", 2)])
-    def test_workers_flag_is_validated_and_selects_nothing(self, tmp_path, monkeypatch,
-                                                            workers, code):
+    def test_workers_flag_is_validated_and_selects_nothing(self, tmp_path, workers, code):
         plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
         argv = ["ber", "--n", "8", "--l", "3", "--snr", "5,15", "--trials", "25",
                 "--seed", "12"]
-        monkeypatch.delenv("RPSDM_THREADS", raising=False)
         assert main(argv + ["--output", str(plain)]) == 0
         assert main(argv + ["--workers", workers, "--output", str(flagged)]) == code
         if code == 0:
@@ -185,7 +173,8 @@ class TestConfigFile:
     def test_file_supplies_values_and_flags_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# ber experiment\nn = 8\nl = 2\nseed = 9\n"
-                       "trials = 50\nsnr = 10,20\nscheme = rpsdm\ndetector = zf\n")
+                       "trials = 50\nsnr = 10,20\nscheme = rpsdm\ndetector = zf\n"
+                       "workers = 1\n")
         out_file = tmp_path / "file.csv"
         out_flag = tmp_path / "flag.csv"
         assert run("ber", "--config", str(cfg), "--output", str(out_file)) == 0
@@ -205,6 +194,17 @@ class TestConfigFile:
         cfg.write_text("n 8\n")
         assert run("spectrum", "--config", str(cfg)) == 2
 
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        # a misspelled entry must not fall back to the default, as a
+        # misspelled flag does not
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("n = 8\nl = 2\nseed = 1\nsnr = 10\ntrails = 3\n")
+        out = tmp_path / "never.csv"
+        assert run("ber", "--config", str(cfg), "--output", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'trails'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, entries", [
         ("ber", "n = 8\nseed = 1\nl = abc\n"),
         ("ber", "n = 8\nl = 2\nseed = 1\ntrials = 1.5\n"),
@@ -213,7 +213,8 @@ class TestConfigFile:
         ("papr-worst", "n = 8\nformat = xml\n"),
         ("ber", "n = 8\nl = 2\nseed = 1\nsnr = 0,nan\n"),
         ("ber", "n = 8\nl = 2\nseed = 1\nsnr = 0,3300\n"),
-    ], ids=["l", "trials", "m", "scheme", "format", "snr-nan", "snr-noise-free"])
+        ("ber", "n = 8\nl = 2\nseed = 1\nworkers = 0\n"),
+    ], ids=["l", "trials", "m", "scheme", "format", "snr-nan", "snr-noise-free", "workers"])
     def test_entries_are_parsed_like_flags(self, tmp_path, capsys, command, entries):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(entries)
@@ -306,12 +307,6 @@ class TestConfigErrors:
     ])
     def test_invalid_configs_exit_2(self, argv):
         assert run(*argv) == 2
-
-    @pytest.mark.parametrize("threads", ["0", "two"])
-    def test_bad_thread_variable_exits_2(self, monkeypatch, threads):
-        monkeypatch.setenv("RPSDM_THREADS", threads)
-        assert run("ber", "--n", "8", "--l", "2", "--seed", "1", "--trials", "1",
-                   "--snr", "10") == 2
 
     def test_unknown_command_exits_2(self, capsys):
         assert run("frobnicate") == 2

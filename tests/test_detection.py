@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rpsdm.channel import (ChannelRealization, EffectiveChannel, add_cp, circulant_matrix,
+from rpsdm.channel import (ChannelRealization, EffectiveChannel, add_cp, awgn, circulant_matrix,
                            draw_channel, effective_channel, remove_cp, transmit)
 from rpsdm.detection import (Detector, DetectorSpec, QamConstellation,
                              SingularChannelError, equalize, qam_demap, qam_map)
@@ -25,7 +25,7 @@ def run_noise_free_chain(scheme: Scheme, n: int, l: int, qam: QamConstellation,
     eff = effective_channel(scheme, ch, plan.transform)
     bits = rng.integers(0, 2, n * qam.bits_per_symbol)
     x = modulate(plan, qam_map(bits, qam))
-    y = remove_cp(transmit(add_cp(x, l), ch, 0.0), l)
+    y = remove_cp(transmit(add_cp(x, l), ch), l)
     estimates = equalize(DetectorSpec.zf(), eff, demodulate(plan, y))
     return bits, qam_demap(estimates, qam), eff
 
@@ -280,7 +280,7 @@ class TestMmseBehaviour:
                 continue
             symbols = qam_map(rng.integers(0, 2, n * 4), qam)
             x = modulate(plan, symbols)
-            y = remove_cp(transmit(add_cp(x, l), ch, sigma2, rng), l)
+            y = remove_cp(transmit(add_cp(x, l), ch, awgn(rng, n + l - 1, sigma2)), l)
             demod = demodulate(plan, y)
             zf = equalize(DetectorSpec.zf(), eff, demod)
             mmse = equalize(DetectorSpec.mmse(sigma2), eff, demod)
@@ -351,9 +351,10 @@ class TestQamMapping:
         assert np.mean(np.abs(symbols) ** 2) == pytest.approx(1.0)
 
     def test_raw_grid_option(self):
+        # unit-energy symbols are the raw grid points scaled by unit_scale
         qam = QamConstellation.from_order(16)
-        symbols = qam_map(np.zeros(4, dtype=int), qam, normalize=False)
-        assert symbols[0] in set(qam.points)
+        symbols = qam_map(np.zeros(4, dtype=int), qam)
+        assert symbols[0] in set(qam.points * qam.unit_scale)
 
     def test_demap_is_nearest_point(self):
         qam = QamConstellation.from_order(16)
@@ -372,7 +373,7 @@ class TestQamMapping:
         amps = 2 * np.arange(side) + 1 - side
         labels = []
         for amp in amps:
-            bits = qam_demap(np.array([complex(amp, 1 - side)]), qam, normalize=False)
+            bits = qam_demap(np.array([complex(amp, 1 - side)]) * qam.unit_scale, qam)
             labels.append(bits[:half])
         for a, b in zip(labels, labels[1:]):
             assert int(np.sum(a != b)) == 1
@@ -389,7 +390,7 @@ class TestQamMapping:
             qam_map(np.array([0.5, 1.9, 1, 0]), qam)
 
 
-def per_axis_qam_map(bits: np.ndarray, qam: QamConstellation, normalize: bool = True):
+def per_axis_qam_map(bits: np.ndarray, qam: QamConstellation):
     """The per-axis Gray route that ``qam_map``'s label table replaced: each
     axis's bits to an integer, Gray-decoded to an amplitude index."""
     k, half, side = qam.bits_per_symbol, qam.bits_per_symbol // 2, qam.side
@@ -405,14 +406,14 @@ def per_axis_qam_map(bits: np.ndarray, qam: QamConstellation, normalize: bool = 
 
     amp = lambda idx: 2 * idx + 1 - side
     symbols = amp(index(groups[:, :half])) + 1j * amp(index(groups[:, half:]))
-    return symbols * qam.unit_scale if normalize else symbols.astype(np.complex128)
+    return symbols * qam.unit_scale
 
 
-def per_axis_qam_demap(symbols: np.ndarray, qam: QamConstellation, normalize: bool = True):
+def per_axis_qam_demap(symbols: np.ndarray, qam: QamConstellation):
     """The per-axis route that ``qam_demap``'s bit table replaced. Each axis
     is scaled on its own, so an infinite component leaves the other alone."""
     symbols = np.asarray(symbols, dtype=np.complex128)
-    scale = 1.0 / qam.unit_scale if normalize else 1.0
+    scale = 1.0 / qam.unit_scale
     real, imag = symbols.real * scale, symbols.imag * scale
     side, half = qam.side, qam.bits_per_symbol // 2
 
@@ -429,30 +430,27 @@ class TestQamTables:
 
     ORDERS = [4, 16, 64, 256]
 
-    @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("m", ORDERS)
-    def test_map_matches_per_axis_route(self, m, normalize):
+    def test_map_matches_per_axis_route(self, m):
         qam = QamConstellation.from_order(m)
         k = qam.bits_per_symbol
         every_label = (np.arange(m)[:, None] >> np.arange(k - 1, -1, -1)) & 1
         bits = np.concatenate([every_label.ravel(),
                                np.random.default_rng(m).integers(0, 2, 300 * k)])
-        got = qam_map(bits, qam, normalize=normalize)
-        expected = per_axis_qam_map(bits, qam, normalize=normalize)
+        got = qam_map(bits, qam)
+        expected = per_axis_qam_map(bits, qam)
         assert got.dtype == expected.dtype == np.complex128
         assert got.tobytes() == expected.tobytes()
         # a (rows, bits) batch maps row by row
         rows = bits[:len(bits) // (3 * k) * 3 * k].reshape(3, -1)
-        batch = qam_map(rows, qam, normalize=normalize)
-        assert batch.tobytes() == np.stack([qam_map(row, qam, normalize=normalize)
-                                            for row in rows]).tobytes()
+        batch = qam_map(rows, qam)
+        assert batch.tobytes() == np.stack([qam_map(row, qam) for row in rows]).tobytes()
 
-    @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("m", ORDERS)
-    def test_demap_matches_per_axis_route(self, m, normalize):
+    def test_demap_matches_per_axis_route(self, m):
         qam = QamConstellation.from_order(m)
         side = qam.side
-        scale = qam.unit_scale if normalize else 1.0
+        scale = qam.unit_scale
         rng = np.random.default_rng(100 + m)
         spread = (side + 2) * scale
         random = spread * (rng.standard_normal(500) + 1j * rng.standard_normal(500))
@@ -464,26 +462,26 @@ class TestQamTables:
         for estimates in (random, halfway, infinite):
             # an infinite axis decides the outermost level; the other axis
             # keeps its own decision (no NaN, so no invalid-value warning)
-            got = qam_demap(estimates, qam, normalize=normalize)
-            expected = per_axis_qam_demap(estimates, qam, normalize=normalize)
+            got = qam_demap(estimates, qam)
+            expected = per_axis_qam_demap(estimates, qam)
             assert got.dtype == expected.dtype == np.int64
             assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("m", ORDERS)
     def test_nan_demaps_to_the_zero_label(self, m):
         # a NaN axis decides index 0, whose Gray bits are all zero; the other
-        # axis keeps its decision, on the raw grid and normalized alike
+        # axis keeps its decision, at the corner level and at 1.0 alike
         qam = QamConstellation.from_order(m)
         half = qam.bits_per_symbol // 2
-        corner = qam.side - 1.0
-        other = qam_demap(np.array([complex(corner, corner)]), qam, normalize=False)[:half]
+        corner = (qam.side - 1.0) * qam.unit_scale
+        other = qam_demap(np.array([complex(corner, corner)]), qam)[:half]
         one = qam_demap(np.array([complex(1.0, 1.0)]), qam)[:half]
         with np.errstate(invalid="ignore"):
-            raw = qam_demap(np.array([complex(np.nan, corner), complex(corner, np.nan)]),
-                            qam, normalize=False)
-            normalized = qam_demap(np.array([complex(np.nan, 1.0)]), qam)
+            at_corner = qam_demap(np.array([complex(np.nan, corner), complex(corner, np.nan)]),
+                                  qam)
+            at_one = qam_demap(np.array([complex(np.nan, 1.0)]), qam)
         zero = [0] * half
         assert other.tolist() != zero
-        assert raw.reshape(2, 2, half).tolist() == [[zero, other.tolist()],
-                                                    [other.tolist(), zero]]
-        assert normalized.tolist() == zero + one.tolist()
+        assert at_corner.reshape(2, 2, half).tolist() == [[zero, other.tolist()],
+                                                          [other.tolist(), zero]]
+        assert at_one.tolist() == zero + one.tolist()

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import rpsdm.metrics
-from rpsdm.channel import ChannelRealization, add_cp, effective_channel, remove_cp, transmit
+from rpsdm.channel import (ChannelRealization, add_cp, awgn, effective_channel, remove_cp,
+                           transmit)
 from rpsdm.detection import (Detector, DetectorSpec, QamConstellation, SingularChannelError,
                              equalize, qam_demap, qam_map)
 from rpsdm.metrics import (ber_curve, ber_curves, ccdf_crossing, complexity_report,
@@ -252,7 +253,8 @@ def replay_ber(scheme, detector, n, l, qam, snr_grid_db, trials, seed, draw):
                 ch = draw(rng, l, n)
                 bits = rng.integers(0, 2, n * qam.bits_per_symbol)
                 symbols = qam_map(bits, qam)
-                frame = transmit(add_cp(modulate(plan, symbols), l), ch, sigma2, rng)
+                frame = transmit(add_cp(modulate(plan, symbols), l), ch,
+                                 awgn(rng, n + l - 1, sigma2))
                 demod = demodulate(plan, remove_cp(frame, l))
                 eff = effective_channel(scheme, ch, plan.transform)
                 try:
