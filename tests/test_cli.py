@@ -156,6 +156,19 @@ class TestDeterminism:
         assert main(argv + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("threads", ["0", "two"])
+    def test_thread_variable_changes_nothing(self, tmp_path, monkeypatch, threads):
+        # RPSDM_THREADS once picked a worker count; the single-process engine
+        # reads no environment, so even a value that was once refused runs
+        plain, set_ = tmp_path / "plain.csv", tmp_path / "set.csv"
+        argv = ["ber", "--n", "8", "--l", "3", "--snr", "5,15", "--trials", "25",
+                "--seed", "12"]
+        monkeypatch.delenv("RPSDM_THREADS", raising=False)
+        assert main(argv + ["--output", str(plain)]) == 0
+        monkeypatch.setenv("RPSDM_THREADS", threads)
+        assert main(argv + ["--output", str(set_)]) == 0
+        assert plain.read_bytes() == set_.read_bytes()
+
     @pytest.mark.parametrize("workers, code", [("1", 0), ("2", 0), ("0", 2)])
     def test_workers_flag_is_validated_and_selects_nothing(self, tmp_path, workers, code):
         plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"

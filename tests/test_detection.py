@@ -430,42 +430,57 @@ class TestQamTables:
 
     ORDERS = [4, 16, 64, 256]
 
+    @pytest.mark.parametrize("layout", ["flat", "rows"])
     @pytest.mark.parametrize("m", ORDERS)
-    def test_map_matches_per_axis_route(self, m):
+    def test_map_matches_per_axis_route(self, m, layout):
         qam = QamConstellation.from_order(m)
         k = qam.bits_per_symbol
         every_label = (np.arange(m)[:, None] >> np.arange(k - 1, -1, -1)) & 1
         bits = np.concatenate([every_label.ravel(),
                                np.random.default_rng(m).integers(0, 2, 300 * k)])
-        got = qam_map(bits, qam)
-        expected = per_axis_qam_map(bits, qam)
+        if layout == "flat":
+            got = qam_map(bits, qam)
+            expected = per_axis_qam_map(bits, qam)
+        else:
+            # a (rows, bits) batch maps row by row
+            rows = bits[:len(bits) // (3 * k) * 3 * k].reshape(3, -1)
+            got = qam_map(rows, qam)
+            assert got.shape == (3, rows.shape[1] // k)
+            expected = np.stack([per_axis_qam_map(row, qam) for row in rows])
         assert got.dtype == expected.dtype == np.complex128
         assert got.tobytes() == expected.tobytes()
-        # a (rows, bits) batch maps row by row
-        rows = bits[:len(bits) // (3 * k) * 3 * k].reshape(3, -1)
-        batch = qam_map(rows, qam)
-        assert batch.tobytes() == np.stack([qam_map(row, qam) for row in rows]).tobytes()
 
+    @staticmethod
+    def demap_estimates(kind, qam):
+        side, scale = qam.side, qam.unit_scale
+        if kind == "random":
+            rng = np.random.default_rng(100 + qam.m)
+            spread = (side + 2) * scale
+            return spread * (rng.standard_normal(500) + 1j * rng.standard_normal(500))
+        if kind == "halfway":
+            # decision boundaries on the raw grid sit at the even integers
+            edges = np.arange(-side - 2, side + 3, 2.0)
+            return (edges[:, None] + 1j * edges[None, :]).ravel() * scale
+        # an infinite axis decides the outermost level; the other axis keeps
+        # its own decision (no NaN, so no invalid-value warning)
+        return np.array([complex(re, im) for re in (np.inf, -np.inf, 0.0)
+                         for im in (np.inf, -np.inf, 1.0)])
+
+    @pytest.mark.parametrize("kind", ["random", "halfway", "infinite"])
     @pytest.mark.parametrize("m", ORDERS)
-    def test_demap_matches_per_axis_route(self, m):
+    def test_demap_matches_per_axis_route(self, m, kind):
         qam = QamConstellation.from_order(m)
-        side = qam.side
-        scale = qam.unit_scale
-        rng = np.random.default_rng(100 + m)
-        spread = (side + 2) * scale
-        random = spread * (rng.standard_normal(500) + 1j * rng.standard_normal(500))
-        # decision boundaries on the raw grid sit at the even integers
-        edges = np.arange(-side - 2, side + 3, 2.0)
-        halfway = (edges[:, None] + 1j * edges[None, :]).ravel() * scale
-        infinite = np.array([complex(re, im) for re in (np.inf, -np.inf, 0.0)
-                             for im in (np.inf, -np.inf, 1.0)])
-        for estimates in (random, halfway, infinite):
-            # an infinite axis decides the outermost level; the other axis
-            # keeps its own decision (no NaN, so no invalid-value warning)
-            got = qam_demap(estimates, qam)
-            expected = per_axis_qam_demap(estimates, qam)
-            assert got.dtype == expected.dtype == np.int64
-            assert got.tobytes() == expected.tobytes()
+        estimates = self.demap_estimates(kind, qam)
+        got = qam_demap(estimates, qam)
+        expected = per_axis_qam_demap(estimates, qam)
+        assert got.dtype == expected.dtype == np.int64
+        assert got.tobytes() == expected.tobytes()
+        # a (rows, symbols) batch demaps row by row
+        batch = np.stack([estimates, estimates[::-1]])
+        rows = qam_demap(batch, qam)
+        assert rows.shape == (2, len(expected))
+        assert rows.tobytes() == np.stack(
+            [expected, per_axis_qam_demap(estimates[::-1], qam)]).tobytes()
 
     @pytest.mark.parametrize("m", ORDERS)
     def test_nan_demaps_to_the_zero_label(self, m):
