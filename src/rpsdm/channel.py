@@ -4,23 +4,25 @@ transformed effective channels with structural checks.
 A circulant channel becomes diagonal under the complex-exponential pair and
 stair block diagonal under the integer periodic transform pair: one block
 per divisor of N, sized phi(q_i). Subspace q lives exactly on the DFT bins
-supp(q), so an effective channel is fully described by the DFT H of the
-taps plus, for RPSDM, the transform's fixed per-subspace maps A_q
-(``subspace_maps``). ``effective_channel`` computes only H; the dense matrix
-is built on demand (``EffectiveChannel.matrix``, ``block``, ``blocks``) for
-the structure checks, ``decompose`` and the tests, while the equalizer
+supp(q), so an effective channel has one representation: the DFT H of the
+taps plus, for RPSDM, the transform whose fixed per-subspace maps A_q
+(``subspace_maps``) shape each block. ``effective_channel`` computes only H;
+the dense matrix is built on demand (``EffectiveChannel.matrix``, ``block``,
+``blocks``) for the structure checks and the tests, while the equalizer
 works on H directly. The blocks, for the two RPSDM bases:
 
 * ``basis="normalized"`` — production pair (e_r, weighted e_t), the one the
-  simulation chain uses: block A_q^{-1} diag(H[supp q]) A_q;
+  simulation chain uses and the only one ``equalize`` accepts:
+  block A_q^{-1} diag(H[supp q]) A_q;
 * ``basis="integer"`` — raw pair (e_t^T, e_t), whose blocks are Toeplitz for
   every N and skew-circulant for N a power of two:
   block diag(1/w) A_q^H diag(H[supp q]) A_q diag(1/w) / N with w the
   block's column weights.
 
 Off-block entries are exactly zero. The dense products e_r @ H_cir @ forward
-and e_t^T @ H_cir @ e_t remain the reference: the tests and the
-``decompose`` command compute them from ``circulant_matrix``.
+and e_t^T @ H_cir @ e_t remain the reference: the tests compute them from
+``circulant_matrix``, and the ``decompose`` command classifies the first
+with ``structure_report``, which takes any matrix.
 
 For power-of-two N the bases differ only by a block-constant scale, so the
 zero/nonzero structure is identical. For other N the normalized inverse-path
@@ -143,35 +145,30 @@ def circulant_from_column(col: np.ndarray) -> np.ndarray:
 class EffectiveChannel:
     """Channel seen between modulation symbols and demodulated output.
 
-    ``effective_channel`` builds it from ``gains``, the DFT of the
-    zero-padded taps, and for the subspace scheme the ``transform`` whose
-    per-subspace maps shape each block; the dense ``matrix`` is assembled on
-    first read and then kept, and ``block(i)`` before that computes only its
-    own phi(q_i) x phi(q_i) block. ``EffectiveChannel(scheme, matrix,
-    layout)`` gives a channel from an explicit matrix, with no gains.
+    ``gains`` is the DFT of the zero-padded taps; for the subspace scheme,
+    ``transform`` supplies the divisor ``layout`` and the per-subspace maps
+    that shape each block in ``basis``. The dense ``matrix`` is assembled on
+    first read and then kept, and ``block(i)`` computes only its own
+    phi(q_i) x phi(q_i) block.
 
-    A batch of channels carries one row of gains per block (or a stack of
-    matrices); ``matrix`` and ``block(i)`` then gain the same leading axis.
+    A batch of channels carries one row of gains per block; ``matrix`` and
+    ``block(i)`` then gain the same leading axis.
     """
 
-    def __init__(self, scheme: Scheme, matrix: np.ndarray | None = None,
-                 layout: DivisorSet | None = None, *, gains: np.ndarray | None = None,
+    def __init__(self, scheme: Scheme, gains: np.ndarray,
                  transform: PeriodicTransform | None = None, basis: str = "normalized"):
-        if (matrix is None) == (gains is None):
-            raise ValueError("give exactly one of matrix and gains")
-        if gains is not None and layout is not None and transform is None:
-            raise ValueError("a subspace channel from gains needs its transform")
         self.scheme = scheme
-        self.layout = layout  # divisor block layout; None for the diagonal scheme
         self.gains = gains
         self.transform = transform
+        # divisor block layout; None for the diagonal scheme
+        self.layout = None if transform is None else transform.layout
         self.basis = basis
-        self._matrix = None if matrix is None else np.asarray(matrix)
+        self._matrix = None
 
     @property
     def shape(self) -> tuple[int, ...]:
         """Shape of the demodulated input: (N,), or (rows, N) for a batch."""
-        return self.gains.shape if self._matrix is None else self._matrix.shape[:-1]
+        return self.gains.shape
 
     @property
     def n(self) -> int:
@@ -196,14 +193,11 @@ class EffectiveChannel:
         """i-th diagonal sub-matrix (phi(q_i) x phi(q_i))."""
         if self.layout is None:
             raise ValueError("block views only exist for the subspace scheme")
-        s = self.layout.block_slice(i)
-        if self._matrix is not None:
-            return self._matrix[..., s, s]
         m = self.transform.subspace_maps[i]
         shaped = self.gains[..., m.bins, None] * m.a
         if self.basis == "normalized":
             return m.a_inv @ shaped
-        inv_w = 1.0 / self.transform.q_norm[s]
+        inv_w = 1.0 / self.transform.q_norm[self.layout.block_slice(i)]
         return (m.a.conj().T @ shaped) * np.outer(inv_w, inv_w) / self.n
 
     def blocks(self) -> list[np.ndarray]:
@@ -217,8 +211,9 @@ def effective_channel(scheme: Scheme, ch: ChannelRealization,
                       basis: str = "normalized") -> EffectiveChannel:
     """Transform the circulant channel into its per-scheme effective form.
 
-    Only the DFT H of the zero-padded taps is computed here; the dense
-    matrix is built when ``.matrix``, ``.block()`` or ``.blocks()`` is read.
+    Only the DFT H of the zero-padded taps is computed here, and the channel
+    is H plus the transform; the dense matrix is built when ``.matrix``,
+    ``.block()`` or ``.blocks()`` is read.
     OFDM: diagonal matrix diag(H). RPSDM: per divisor block,
     A_q^{-1} diag(H_q) A_q (``basis="normalized"``, equal to
     e_r @ H_cir @ forward) or diag(1/w) A_q^H diag(H_q) A_q diag(1/w) / N
@@ -230,13 +225,12 @@ def effective_channel(scheme: Scheme, ch: ChannelRealization,
     taps[..., :ch.l] = ch.taps
     gains = np.fft.fft(taps)
     if scheme is Scheme.OFDM:
-        return EffectiveChannel(scheme, gains=gains)
+        return EffectiveChannel(scheme, gains)
     if transform is None or transform.n != ch.n:
         raise ValueError("a transform matching the channel block length is required")
     if basis not in ("normalized", "integer"):
         raise ValueError(f"basis must be 'normalized' or 'integer', got {basis!r}")
-    return EffectiveChannel(scheme, layout=transform.layout, gains=gains,
-                            transform=transform, basis=basis)
+    return EffectiveChannel(scheme, gains, transform, basis)
 
 
 def _scale_of(matrix: np.ndarray, scale: float | None) -> float:
@@ -292,21 +286,23 @@ def is_skew_circulant(matrix: np.ndarray, rtol: float = STRUCTURE_RTOL,
     return residual < rtol, residual
 
 
-def structure_report(eff: EffectiveChannel, rtol: float = STRUCTURE_RTOL) -> dict:
-    """Classification summary used by the decomposition CLI."""
-    matrix = eff.matrix
-    if eff.layout is None:
+def structure_report(matrix: np.ndarray, layout: DivisorSet | None = None,
+                     rtol: float = STRUCTURE_RTOL) -> dict:
+    """Classification summary of ``matrix`` used by the decomposition CLI:
+    diagonal without a ``layout``, else stair block diagonal with per-block
+    Toeplitz (and, for power-of-two N, skew-circulant) checks."""
+    matrix = np.asarray(matrix)
+    scale = _scale_of(matrix, None)
+    if layout is None:
         off = matrix - np.diag(np.diag(matrix))
-        scale = _scale_of(matrix, None)
         residual = float(np.abs(off).max() / scale)
         return {"structure": "diagonal", "off_diagonal_residual": residual,
                 "diagonal_ok": residual < rtol}
-    ok, residual = is_stair_block_diagonal(matrix, eff.layout, rtol=rtol)
-    scale = _scale_of(matrix, None)
-    power_of_two = is_power_of_two(eff.layout.n)
+    ok, residual = is_stair_block_diagonal(matrix, layout, rtol=rtol)
+    power_of_two = is_power_of_two(layout.n)
     blocks = []
-    for i, (q, phi, offset) in enumerate(eff.layout.blocks()):
-        block = eff.block(i)
+    for q, phi, offset in layout.blocks():
+        block = matrix[offset:offset + phi, offset:offset + phi]
         toep_ok, toep_res = is_toeplitz(block, rtol=rtol, scale=scale)
         entry = {"q": q, "size": phi, "offset": offset,
                  "toeplitz_ok": toep_ok, "toeplitz_residual": float(toep_res)}

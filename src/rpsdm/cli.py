@@ -24,8 +24,7 @@ import tempfile
 
 import numpy as np
 
-from .channel import (EffectiveChannel, circulant_matrix, draw_channel, effective_channel,
-                      structure_report)
+from .channel import circulant_matrix, draw_channel, effective_channel, structure_report
 from .detection import Detector, QamConstellation
 from .metrics import (ber_curves, complexity_report, noise_variance, papr_ccdf,
                       worst_case_papr)
@@ -290,17 +289,17 @@ def _cmd_decompose(args) -> tuple[str, dict[str, str]]:
     if scheme is Scheme.RPSDM:
         # the dense product, so the report shows the blocks emerging from it
         transform = build_transform(n)
-        eff = EffectiveChannel(scheme=scheme, layout=transform.layout,
-                               matrix=transform.e_r @ circulant_matrix(ch) @ transform.forward)
+        matrix = transform.e_r @ circulant_matrix(ch) @ transform.forward
+        report = structure_report(matrix, transform.layout)
     else:
-        eff = effective_channel(scheme, ch)
-    report = structure_report(eff)
+        matrix = effective_channel(scheme, ch).matrix
+        report = structure_report(matrix)
     payload = {
         "command": "decompose",
         "config": {"n": n, "l": l, "seed": seed, "scheme": scheme.value},
         "taps": [[float(t.real), float(t.imag)] for t in ch.taps],
-        "matrix_real": [[float(v) for v in row] for row in eff.matrix.real],
-        "matrix_imag": [[float(v) for v in row] for row in eff.matrix.imag],
+        "matrix_real": [[float(v) for v in row] for row in matrix.real],
+        "matrix_imag": [[float(v) for v in row] for row in matrix.imag],
         "report": report,
     }
     stdout = f"decomposed n={n} l={l} scheme={scheme.value}: {report['structure']}\n"
@@ -445,7 +444,10 @@ def main(argv=None) -> int:
         args.file_config = read_config_file(args.config) if args.config else None
         stdout, files = COMMANDS[args.command][0](args)
         for path, text in files.items():
-            _write_atomic(path, text)
+            try:
+                _write_atomic(path, text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
         sys.stdout.write(stdout)
         return 0
     except ConfigError as exc:

@@ -7,18 +7,17 @@ supp(q), so an RPSDM block is A_q^{-1} diag(H_q) A_q with A_q the fixed map
 F[supp q] @ forward[:, block q]. ZF (any N) and MMSE with A_q^H A_q = N I
 (exactly when N is a power of two) therefore reduce to OFDM's per-bin
 weights H* / (|H|^2 + zeta) between the forward map and its inverse:
-e_r @ ifft(W * fft(forward @ y)), with no block matrix formed. MMSE at
-other N, integer-basis channels and channels given as an explicit matrix
-take the per-block solve of the regularized normal equations, which is
-also the reference the tests hold the per-bin route to. The route follows from N and the detector
-alone. Bit labels use Gray coding per axis; ``qam_map`` and ``qam_demap``
-work on symbols normalized to unit average energy, so sigma^2 parameterizes
-both the SNR and the MMSE regularizer. ``equalize``, ``qam_map`` and
-``qam_demap`` also take a batch with rows first (the BER engine's (rows, N)
-arrays, with one zeta per row), giving each row the bytes of its own call.
-A ZF batch with an exactly singular row raises one SingularChannelError for
-the whole batch; a caller that needs the other rows' estimates reruns the
-rows one at a time.
+e_r @ ifft(W * fft(forward @ y)), with no block matrix formed. Only MMSE at
+other N solves the regularized normal equations block by block. The route
+follows from the scheme, the detector and N alone; every channel is given
+by its gains on the normalized basis. Bit labels use Gray coding per axis;
+``qam_map`` and ``qam_demap`` work on symbols normalized to unit average
+energy, so sigma^2 parameterizes both the SNR and the MMSE regularizer.
+``equalize``, ``qam_map`` and ``qam_demap`` also take a batch with rows
+first (the BER engine's (rows, N) arrays, with one zeta per row), giving
+each row the bytes of its own call. A ZF batch with an exactly singular row
+raises one SingularChannelError for the whole batch; a caller that needs
+the other rows' estimates reruns the rows one at a time.
 """
 
 from __future__ import annotations
@@ -40,10 +39,10 @@ class Detector(enum.Enum):
 
 
 class SingularChannelError(RuntimeError):
-    """ZF hit an exactly singular bin or block, named by ``where``. A batch
-    names what the 1-D call of its first singular row would; the per-block
-    solve fails for every row at once, so there it names the first block in
-    layout order that is singular in some row."""
+    """The equalizer hit an exactly singular bin or block, named by
+    ``where``: a ZF zero gain, where a batch names what the 1-D call of its
+    first singular row would, or an MMSE block gram singular in floating
+    point."""
 
     def __init__(self, message: str, where: str):
         super().__init__(message)
@@ -95,6 +94,8 @@ def equalize(spec: DetectorSpec, eff: EffectiveChannel, y: np.ndarray) -> np.nda
     """Recover symbol estimates from the demodulated block y, or from each
     row of y through the matching channel of a batch (zeta scalar or per
     row). Every row gets the bytes of its own 1-D call."""
+    if eff.basis != "normalized":
+        raise ValueError(f"equalize needs the normalized basis, got {eff.basis!r}")
     y = np.asarray(y)
     n = eff.n
     if y.shape != eff.shape:
@@ -103,10 +104,7 @@ def equalize(spec: DetectorSpec, eff: EffectiveChannel, y: np.ndarray) -> np.nda
     # a per-row zeta broadcasts as a column against the rows of bins
     zeta = spec.zeta if np.ndim(spec.zeta) == 0 else np.asarray(spec.zeta)[:, None]
     gains, t = eff.gains, eff.transform
-    if eff.scheme is Scheme.OFDM and gains is None:
-        gains = np.diagonal(eff.matrix, axis1=-2, axis2=-1)
-    if eff.scheme is Scheme.OFDM or (gains is not None and eff.basis == "normalized" and (
-            spec.kind is Detector.ZF or t.transpose_path)):
+    if eff.scheme is Scheme.OFDM or spec.kind is Detector.ZF or t.transpose_path:
         denom = np.abs(gains) ** 2 + zeta
         if not denom.all():  # only ZF (zeta = 0) can hit a zero
             raise _zero_gain_error(eff.scheme, denom == 0.0)
@@ -114,7 +112,7 @@ def equalize(spec: DetectorSpec, eff: EffectiveChannel, y: np.ndarray) -> np.nda
             return np.conj(gains) * y / denom
         weights = np.conj(gains) / denom
         return _real_matvec(t.e_r, np.fft.ifft(weights * np.fft.fft(_real_matvec(t.forward, y))))
-    assert eff.layout is not None
+    # MMSE at non-power-of-two N: A_q^H A_q != N I, so solve each block
     out = np.empty(y.shape, dtype=np.complex128)
     if np.ndim(zeta):
         zeta = zeta[..., None]  # one regularizer per row's phi x phi gram
@@ -123,7 +121,7 @@ def equalize(spec: DetectorSpec, eff: EffectiveChannel, y: np.ndarray) -> np.nda
         h_adj = np.swapaxes(h.conj(), -1, -2)
         rhs = h_adj @ y[..., offset:offset + phi, None]
         gram = h_adj @ h + zeta * np.eye(phi)
-        try:
+        try:  # a gram can be singular in floating point at an extreme SNR
             out[..., offset:offset + phi] = np.linalg.solve(gram, rhs)[..., 0]
         except np.linalg.LinAlgError as exc:
             raise SingularChannelError(f"singular block for divisor q={q} (size {phi})",

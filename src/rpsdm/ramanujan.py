@@ -84,7 +84,6 @@ class SubspaceMap:
     under the normalized pair is a_inv @ diag(H[bins]) @ a.
     """
 
-    offset: int
     bins: np.ndarray
     a: np.ndarray
     a_inv: np.ndarray
@@ -118,12 +117,11 @@ class PeriodicTransform:
         """One DFT map per divisor block, built on first use and held by this
         transform (callers that never need them do not pay for them)."""
         maps = []
-        for q, phi, offset in self.layout.blocks():
+        for q, phi, _ in self.layout.blocks():
             bins = np.array(sorted(dft_support(q, self.n)), dtype=np.int64)
             phase = np.outer(bins, np.arange(phi)) % self.n
             a = np.sqrt(self.n / phi) * np.exp(-2j * np.pi * phase / self.n)
-            maps.append(SubspaceMap(offset=offset, bins=bins, a=a,
-                                    a_inv=np.linalg.inv(a)))
+            maps.append(SubspaceMap(bins=bins, a=a, a_inv=np.linalg.inv(a)))
         return tuple(maps)
 
 

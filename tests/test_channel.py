@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from rpsdm.channel import (ChannelRealization, EffectiveChannel, add_cp, awgn,
-                           circulant_from_column, circulant_matrix, draw_channel,
-                           effective_channel, is_skew_circulant, is_stair_block_diagonal, is_toeplitz,
-                           STRUCTURE_RTOL, remove_cp, structure_report, transmit)
+from rpsdm.channel import (ChannelRealization, add_cp, awgn, circulant_from_column,
+                           circulant_matrix, draw_channel, effective_channel, is_skew_circulant,
+                           is_stair_block_diagonal, is_toeplitz, STRUCTURE_RTOL, remove_cp,
+                           structure_report, transmit)
 from rpsdm.number_theory import divisor_set
 from rpsdm.ramanujan import build_transform
 from rpsdm.transforms import Scheme, ofdm_synthesis_matrix
@@ -269,14 +269,6 @@ class TestEffectiveChannelRpsdm:
                     s = transform.layout.block_slice(i)
                     np.testing.assert_array_equal(block, matrix[s, s])
 
-    def test_needs_exactly_one_of_matrix_and_gains(self):
-        with pytest.raises(ValueError):
-            EffectiveChannel(Scheme.OFDM)
-        with pytest.raises(ValueError):
-            EffectiveChannel(Scheme.OFDM, np.eye(2), gains=np.ones(2))
-        with pytest.raises(ValueError):
-            EffectiveChannel(Scheme.RPSDM, layout=divisor_set(4), gains=np.ones(4))
-
     def test_requires_matching_transform(self):
         ch = draw_channel(0, 2, 8)
         with pytest.raises(ValueError):
@@ -362,11 +354,12 @@ class TestDecompositionProperty:
 
     def test_structure_report_shape(self):
         ch = draw_channel(1, 3, 12)
-        eff = effective_channel(Scheme.RPSDM, ch, build_transform(12))
-        report = structure_report(eff)
+        transform = build_transform(12)
+        eff = effective_channel(Scheme.RPSDM, ch, transform)
+        report = structure_report(eff.matrix, transform.layout)
         assert report["structure"] == "stair_block_diagonal"
         assert report["stair_block_ok"]
         assert [b["size"] for b in report["blocks"]] == [1, 1, 2, 2, 2, 4]
-        ofdm_report = structure_report(effective_channel(Scheme.OFDM, ch))
+        ofdm_report = structure_report(effective_channel(Scheme.OFDM, ch).matrix)
         assert ofdm_report["structure"] == "diagonal"
         assert ofdm_report["diagonal_ok"]

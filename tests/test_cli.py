@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rpsdm.channel import circulant_matrix, draw_channel, structure_report
 from rpsdm.cli import main
 from rpsdm.detection import QamConstellation
 from rpsdm.metrics import worst_case_papr
@@ -119,6 +120,22 @@ class TestDecomposeCommand:
                    "--scheme", "ofdm", "--output", str(out)) == 0
         payload = json.loads(out.read_text())
         assert payload["report"]["structure"] == "diagonal"
+
+    @pytest.mark.parametrize("n, l, seed", [(12, 4, 79), (8, 3, 5)])
+    def test_reports_the_dense_product(self, tmp_path, n, l, seed):
+        # the matrix and its report are those of e_r @ H_cir @ forward itself,
+        # whose off-block residue is rounding, not the gains route's exact zeros
+        out = tmp_path / "dec.json"
+        assert run("decompose", "--n", str(n), "--l", str(l), "--seed", str(seed),
+                   "--scheme", "rpsdm", "--output", str(out)) == 0
+        payload = json.loads(out.read_text())
+        transform = build_transform(n)
+        dense = transform.e_r @ circulant_matrix(draw_channel(seed, l, n)) @ transform.forward
+        assert payload["matrix_real"] == dense.real.tolist()
+        assert payload["matrix_imag"] == dense.imag.tolist()
+        report = json.loads(json.dumps(structure_report(dense, transform.layout)))
+        assert payload["report"] == report
+        assert report["off_block_residual"] > 0
 
     def test_rejects_csv(self, tmp_path):
         code = run("decompose", "--n", "8", "--l", "3", "--seed", "5",
@@ -323,6 +340,18 @@ class TestConfigErrors:
 
     def test_unknown_command_exits_2(self, capsys):
         assert run("frobnicate") == 2
+
+    @pytest.mark.parametrize("argv, target", [
+        (("ber", "--n", "8", "--l", "2", "--trials", "2", "--seed", "1"), "missing/x.csv"),
+        (("dump-basis", "--n", "4"), "missing/b"),
+        (("complexity", "--n", "8"), "existing"),
+    ], ids=["ber-missing-dir", "dump-basis-missing-dir", "complexity-onto-dir"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, argv, target):
+        # a missing directory, or an output path naming an existing directory
+        (tmp_path / "existing").mkdir()
+        assert run(*argv, "--output", str(tmp_path / target)) == 2
+        assert "config error: cannot write" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["existing"]
 
     def test_numerical_exit_path_exists(self):
         # numerical failures map to exit 3; the residual check cannot be
