@@ -15,8 +15,8 @@ from .channel import (ChannelRealization, EffectiveChannel, add_cp, awgn,
 from .detection import (Detector, DetectorSpec, QamConstellation, SingularChannelError,
                         equalize, qam_demap, qam_map)
 from .metrics import (ComplexityRow, CurveResult, ber_curve, ber_curves, ccdf_crossing,
-                      complexity_report, gamma_coefficient, papr, papr_ccdf, papr_db,
-                      worst_case_papr)
+                      complexity_report, gamma_coefficient, papr, papr_ccdf, papr_ccdfs,
+                      papr_db, worst_case_papr)
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,7 @@ __all__ = [
     "dft_support", "direct_flops", "divisor_count", "divisor_set", "draw_channel",
     "effective_channel", "equalize", "fast_flops", "gamma_coefficient", "gcd",
     "is_skew_circulant", "is_stair_block_diagonal", "is_toeplitz", "make_plan",
-    "mobius", "modulate", "papr", "papr_ccdf", "papr_db", "qam_demap", "qam_map",
+    "mobius", "modulate", "papr", "papr_ccdf", "papr_ccdfs", "papr_db", "qam_demap", "qam_map",
     "ramanujan_sum", "remove_cp", "sparse_irpt", "structure_report", "subspace_basis",
     "synthesize_by_subspaces", "totient", "transmit", "worst_case_papr",
 ]

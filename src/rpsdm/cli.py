@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -26,10 +27,10 @@ import numpy as np
 
 from .channel import circulant_matrix, draw_channel, effective_channel, structure_report
 from .detection import Detector, QamConstellation
-from .metrics import (ber_curves, complexity_report, noise_variance, papr_ccdf,
+from .metrics import (ber_curves, complexity_report, noise_variance, papr_ccdfs,
                       worst_case_papr)
-# unused here: the benchmark tracer (bench/spans.py) looks ber_curve up in this module
-from .metrics import ber_curve  # noqa: F401
+# unused here: the benchmark tracer (bench/spans.py) looks both up in this module
+from .metrics import ber_curve, papr_ccdf  # noqa: F401
 from .ramanujan import NumericalError, build_transform, dft_support
 from .transforms import Scheme
 
@@ -207,17 +208,30 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def _write_all(files: dict[str, str]) -> None:
+    """Write every file or none: each text goes to a temporary file beside
+    its path, and the renames start only once every temporary file is
+    written and no path names a directory. Every temporary file left over
+    is removed, and an OSError becomes a ConfigError naming the path."""
+    temps = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        for path, text in files.items():
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+            temps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        # a rename onto a directory fails: look before the first rename
+        for path in files:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for path, tmp in zip(files, temps):
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _table_files(args, header: list[str], rows: list[list], payload: dict) -> dict[str, str]:
@@ -338,8 +352,7 @@ def _cmd_papr_ccdf(args) -> tuple[str, dict[str, str]]:
     schemes = _resolve(args, "scheme", default=list(Scheme))
     thresholds = _resolve(args, "thresholds", default=_parse_grid("0:14:0.25"))
     constellation = QamConstellation.from_order(m)
-    curves = [papr_ccdf(scheme, n, constellation, thresholds, trials, seed)
-              for n in n_list for scheme in schemes]
+    curves = papr_ccdfs(schemes, n_list, constellation, thresholds, trials, seed)
     lines = [f"PAPR CCDF, {m}-QAM, {trials} trials, seed {seed}"]
     for curve in curves:
         lines.append(f"  {curve.scheme.value:>5} n={curve.n}")
@@ -443,11 +456,7 @@ def main(argv=None) -> int:
     try:
         args.file_config = read_config_file(args.config) if args.config else None
         stdout, files = COMMANDS[args.command][0](args)
-        for path, text in files.items():
-            try:
-                _write_atomic(path, text)
-            except OSError as exc:
-                raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        _write_all(files)
         sys.stdout.write(stdout)
         return 0
     except ConfigError as exc:

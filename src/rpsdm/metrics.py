@@ -14,11 +14,20 @@ receiver whose ZF equalizer draws an exactly singular channel in a batch
 reruns that batch a row at a time, each row redrawn from its next attempt's
 stream until it equalizes; the other receivers keep the batch. SNR is Es/N0
 with unit-power symbols: sigma^2 = 10^(-SNR/10).
+
+One CCDF engine (``papr_ccdfs``) runs every curve of a job on the same
+blocks: block t draws its symbol indices from the stream keyed (master
+seed, t), once at the job's largest N, and the curve at each N reads the
+first N of them, which is the draw of that length from the same stream.
+Every stream is the one ``np.random.default_rng(key)`` gives; the CCDF
+engine computes a chunk's SeedSequence hashes and PCG64 seeds together in
+numpy and loads each row's state into one reused Generator.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,40 +127,170 @@ def _binomial_ci(values: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarra
     return np.clip(values - half, 0.0, 1.0), np.clip(values + half, 0.0, 1.0)
 
 
-def papr_ccdf(scheme: Scheme, n: int, constellation: QamConstellation,
-              thresholds_db: np.ndarray, trials: int, seed: int) -> CurveResult:
-    """Fraction of random-symbol blocks whose PAPR exceeds each threshold.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+#: SeedSequence's hash constants (numpy NEP 19, after O'Neill's seed_seq)
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+
+#: PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _key_words(key) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's entropy words of every row of ``key``: the
+    little-endian uint32 words of each entry in order, zero padded to a
+    (rows, width) array, and each row's word count. An entry is a
+    non-negative integer shared by every row, or an int64 array holding one
+    value per row."""
+    rows = max((len(e) for e in key if isinstance(e, np.ndarray)), default=1)
+    slots = []  # (word of each row, which rows have that word)
+    for entry in key:
+        if isinstance(entry, np.ndarray):
+            values = entry.astype(np.int64)
+            if (values < 0).any():
+                raise ValueError("expected non-negative integer")
+            slots += [(values & _MASK32, True), (values >> 32, values >> 32 > 0)]
+            continue
+        value = operator.index(entry)
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        while True:
+            slots.append((np.full(rows, value & _MASK32), True))
+            value >>= 32
+            if not value:
+                break
+    words = np.zeros((rows, max(len(slots), 4)), dtype=np.uint32)
+    length = np.zeros(rows, dtype=np.int64)
+    for word, present in slots:
+        present = np.broadcast_to(present, rows)
+        words[present, length[present]] = word[present]
+        length += present
+    return words, length
+
+
+def _pcg64_states(key) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``np.random.default_rng(row key)`` for every row
+    of ``key`` (see ``_key_words``): SeedSequence's pool hash and state
+    generation run on all rows at once in uint32 arithmetic, then PCG64's
+    seeding takes two LCG steps per row."""
+    words, length = _key_words(key)
+    const = _SS_INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _SS_MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        result = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
+        return result ^ result >> np.uint32(16)
+
+    # a missing word among the first four hashes as a zero, so padding is exact
+    pool = [hashmix(words[:, i]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, words.shape[1]):
+        live = length > src
+        for dst in range(4):
+            pool[dst] = np.where(live, mix(pool[dst], hashmix(words[:, src])), pool[dst])
+    const = _SS_INIT_B
+    seeds = np.empty((words.shape[0], 8), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(const)
+        const = const * _SS_MULT_B & _MASK32
+        value = value * np.uint32(const)
+        seeds[:, i] = value ^ value >> np.uint32(16)
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in seeds.astype("<u4").view("<u8").tolist():
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        states.append((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc))
+    return states
+
+
+def _key_streams(*key):
+    """The stream of ``np.random.default_rng`` for each row of ``key`` (see
+    ``_key_words``): ``_key_streams(seed, np.arange(a, b))`` gives those of
+    ``[seed, t]`` for t in a..b-1. Yields one Generator, loaded with the
+    next row's state before each yield, so take a row's draws before asking
+    for the next."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    for state, inc in _pcg64_states(key):
+        rng.bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
+def _exceed_counts(symbols: np.ndarray, forward_t: np.ndarray | None,
+                   thresholds_db: np.ndarray) -> np.ndarray:
+    """How many of the (rows, N) symbol blocks have a PAPR above each
+    threshold, each block synthesized by OFDM's scaled ifft, or by the real
+    basis ``forward_t`` (transposed) when one is given. A call per curve
+    frees its temporaries before the next curve allocates its own."""
+    if forward_t is None:
+        blocks = math.sqrt(symbols.shape[1]) * np.fft.ifft(symbols, axis=1)
+    else:
+        # real basis: two real gemms cost half of one complex gemm
+        blocks = symbols.real @ forward_t + 1j * (symbols.imag @ forward_t)
+    power = np.abs(blocks) ** 2
+    ratios_db = 10.0 * np.log10(power.max(axis=1) / power.mean(axis=1))
+    return (ratios_db[:, None] > thresholds_db[None, :]).sum(axis=0)
+
+
+def papr_ccdfs(schemes, n_list, constellation: QamConstellation,
+               thresholds_db: np.ndarray, trials: int, seed: int) -> list[CurveResult]:
+    """Fraction of random-symbol blocks whose PAPR exceeds each threshold,
+    one curve per (N, scheme) in ``for n ... for scheme ...`` order.
 
     Symbols are uniform over the constellation; PAPR is computed at Nyquist
-    rate over the n block samples.
+    rate over the n block samples. Block t of every curve draws from the
+    stream ``[seed, t]``, once at the largest N: a shorter block is the
+    prefix of that draw, which is what a draw of its own length from the
+    same stream gives. So each curve equals its own ``papr_ccdf`` call.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not schemes or not n_list:
+        raise ValueError("need at least one scheme and one block length")
     thresholds_db = np.asarray(thresholds_db, dtype=np.float64)
     points = constellation.points
-    forward_t = None
-    if scheme is Scheme.RPSDM:
-        forward_t = make_plan(scheme, n).forward.T.copy()
-    exceed = np.zeros(thresholds_db.shape[0], dtype=np.int64)
+    pairs = list(dict.fromkeys((n, scheme) for n in n_list for scheme in schemes))
+    forward_t = {(n, scheme): make_plan(scheme, n).forward.T.copy()
+                 if scheme is Scheme.RPSDM else None for n, scheme in pairs}
+    exceed = {pair: np.zeros(thresholds_db.shape[0], dtype=np.int64) for pair in pairs}
+    n_max = max(n_list)
     for start in range(0, trials, _CCDF_CHUNK):
         stop = min(start + _CCDF_CHUNK, trials)
-        idx = np.empty((stop - start, n), dtype=np.int64)
-        for t in range(start, stop):
-            idx[t - start] = np.random.default_rng([seed, t]).integers(0, constellation.m, n)
-        symbols = points[idx]
-        if scheme is Scheme.OFDM:
-            blocks = math.sqrt(n) * np.fft.ifft(symbols, axis=1)
-        else:
-            # real basis: two real gemms cost half of one complex gemm
-            blocks = symbols.real @ forward_t + 1j * (symbols.imag @ forward_t)
-        power = np.abs(blocks) ** 2
-        ratios_db = 10.0 * np.log10(power.max(axis=1) / power.mean(axis=1))
-        exceed += (ratios_db[:, None] > thresholds_db[None, :]).sum(axis=0)
-    values = exceed / trials
-    ci_low, ci_high = _binomial_ci(values, trials)
-    return CurveResult(scheme=scheme, detector=None, n=n, l=None, m=constellation.m,
-                       grid=thresholds_db, values=values, ci_low=ci_low, ci_high=ci_high,
-                       trials=trials, seed=seed)
+        idx = np.empty((stop - start, n_max), dtype=np.int64)
+        for row, rng in enumerate(_key_streams(seed, np.arange(start, stop))):
+            idx[row] = rng.integers(0, constellation.m, n_max)
+        for n, scheme in pairs:
+            exceed[n, scheme] += _exceed_counts(points[idx[:, :n]], forward_t[n, scheme],
+                                                thresholds_db)
+    curves = []
+    for n in n_list:
+        for scheme in schemes:
+            values = exceed[n, scheme] / trials
+            ci_low, ci_high = _binomial_ci(values, trials)
+            curves.append(CurveResult(
+                scheme=scheme, detector=None, n=n, l=None, m=constellation.m,
+                grid=thresholds_db, values=values, ci_low=ci_low, ci_high=ci_high,
+                trials=trials, seed=seed))
+    return curves
+
+
+def papr_ccdf(scheme: Scheme, n: int, constellation: QamConstellation,
+              thresholds_db: np.ndarray, trials: int, seed: int) -> CurveResult:
+    """The CCDF of one scheme at one N: ``papr_ccdfs`` with a single curve,
+    so its values equal that curve in any larger call."""
+    return papr_ccdfs((scheme,), (n,), constellation, thresholds_db, trials, seed)[0]
 
 
 def ccdf_crossing(grid_db: np.ndarray, values: np.ndarray, level: float) -> float | None:

@@ -16,7 +16,7 @@ from rpsdm.channel import (ChannelRealization, circulant_matrix, draw_channel,
 from rpsdm.cli import main as cli_main
 from rpsdm.detection import Detector, QamConstellation
 from rpsdm.metrics import ber_curves as run_ber_curves
-from rpsdm.metrics import ccdf_crossing, complexity_report, papr_ccdf, worst_case_papr
+from rpsdm.metrics import ccdf_crossing, complexity_report, papr_ccdfs, worst_case_papr
 from rpsdm.number_theory import divisor_set, totient
 from rpsdm.ramanujan import build_transform, dft_support, ramanujan_sum
 from rpsdm.transforms import Scheme, make_plan, modulate, sparse_irpt
@@ -113,14 +113,13 @@ def test_criterion_4_ccdf_reproduction():
     trials = 100_000
     grid = np.arange(0.0, 14.01, 0.25)
     crossings: dict[tuple[str, int], float] = {}
-    for n in (8, 64, 128, 256, 512):
-        for scheme in (Scheme.OFDM, Scheme.RPSDM):
-            curve = papr_ccdf(scheme, n, QAM16, grid, trials, seed=20_240)
-            cross = ccdf_crossing(curve.grid, curve.values, 1e-3)
-            if cross is None:
-                failures.append(f"{scheme.value} n={n}: no 1e-3 crossing on grid")
-                cross = math.inf
-            crossings[(scheme.value, n)] = cross
+    for curve in papr_ccdfs((Scheme.OFDM, Scheme.RPSDM), (8, 64, 128, 256, 512), QAM16,
+                            grid, trials, seed=20_240):
+        cross = ccdf_crossing(curve.grid, curve.values, 1e-3)
+        if cross is None:
+            failures.append(f"{curve.scheme.value} n={curve.n}: no 1e-3 crossing on grid")
+            cross = math.inf
+        crossings[(curve.scheme.value, curve.n)] = cross
     ofdm_128 = crossings[("ofdm", 128)]
     rpsdm_128 = crossings[("rpsdm", 128)]
     if not abs(ofdm_128 - 10.5) <= 0.5:

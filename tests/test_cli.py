@@ -353,6 +353,14 @@ class TestConfigErrors:
         assert "config error: cannot write" in capsys.readouterr().err
         assert [p.name for p in tmp_path.rglob("*")] == ["existing"]
 
+    def test_failed_multi_file_write_leaves_nothing(self, tmp_path, capsys):
+        # the last of the three dump-basis files cannot be written: the other
+        # two must not be left behind, and neither may any temporary file
+        (tmp_path / "b_er.csv").mkdir()
+        assert run("dump-basis", "--n", "4", "--output", str(tmp_path / "b")) == 2
+        assert "config error: cannot write" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["b_er.csv"]
+
     def test_numerical_exit_path_exists(self):
         # numerical failures map to exit 3; the residual check cannot be
         # tripped by valid input, so just pin the exit-code contract

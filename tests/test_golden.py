@@ -50,6 +50,22 @@ RUNS = {
                     "--detector", "zf", "--output", "ber.csv"],
     "papr-ccdf": ["papr-ccdf", "--n", "64,128", "--m", "16", "--trials", "2000",
                   "--seed", "1", "--thresholds", "0:14:0.25", "--output", "ccdf.csv"],
+    # one draw per block serves every curve of a job: a descending N list
+    # takes its short blocks as prefixes of the long ones drawn first
+    "papr-ccdf-descending": ["papr-ccdf", "--n", "512,64", "--m", "16", "--trials", "600",
+                             "--seed", "29", "--output", "ccdf.csv"],
+    "papr-ccdf-n12-repeat": ["papr-ccdf", "--n", "12,64,12", "--m", "16", "--trials", "800",
+                             "--seed", "31", "--thresholds", "0:12:0.5",
+                             "--output", "ccdf.csv"],
+    "papr-ccdf-rpsdm-qam64": ["papr-ccdf", "--n", "32,96", "--m", "64", "--trials", "1000",
+                              "--seed", "37", "--scheme", "rpsdm", "--output", "ccdf.csv"],
+    # more blocks than one CCDF chunk
+    "papr-ccdf-chunks": ["papr-ccdf", "--n", "16,64", "--m", "4", "--trials", "2500",
+                         "--seed", "41", "--output", "ccdf.csv"],
+    # a seed of two 32-bit words
+    "papr-ccdf-seed-2e32-json": ["papr-ccdf", "--n", "8,64", "--m", "16", "--trials", "700",
+                                 "--seed", "4294967296", "--format", "json",
+                                 "--output", "ccdf.json"],
     "dump-basis": ["dump-basis", "--n", "16", "--output", "basis"],
     "papr-worst": ["papr-worst", "--n", "8,16,32,64,128,256,512", "--m", "16",
                    "--output", "worst.csv"],
@@ -106,6 +122,26 @@ GOLDEN = {
     'papr-ccdf': {
         'stdout': '7a6e96d0b77d1125f4722a0497511fe4cab194945ba79c69726b0af269494cef',
         'ccdf.csv': '8ae9bef348262c4885bdbf4f49f7d09cb353c14e8001c8c3c5d60b451589f23c',
+    },
+    'papr-ccdf-chunks': {
+        'stdout': 'fd1c465781aba42849977cdf6be1a98a3624624d22daac43443da53c0d5404fa',
+        'ccdf.csv': 'cc2f994b3a05fd46cbe5109ba093a61ba5bb24aaf1b306444ebdc7a3d0b0cec0',
+    },
+    'papr-ccdf-descending': {
+        'stdout': '4866a3c95f93fa5f160df428001477393ded1bfe1ca5fd42135997df06e26778',
+        'ccdf.csv': '8d1f3e11c88595f3c5485259ef12ed834b15496b53d07526594b598096dd6657',
+    },
+    'papr-ccdf-n12-repeat': {
+        'stdout': '9f8f4109a2b0f55d084c5e397df649d1abc99f4acd70e32f198209d152385abd',
+        'ccdf.csv': 'd87ffdb8be5902e38229c1d00ee40f3cace6e372d6fd736daa6b987d9f5c5fc9',
+    },
+    'papr-ccdf-rpsdm-qam64': {
+        'stdout': '30baa97ba27e46922a51727c7f0aed83016086cee81805cccad684a3a358ac36',
+        'ccdf.csv': '02bc304fb39b074c5db90e0f486c113d0c30903e88462afa9b3a0e8feafdbd62',
+    },
+    'papr-ccdf-seed-2e32-json': {
+        'stdout': 'e22edebf4ad8bd97ad067b4cea334109ce344bb10a997e4cad8cb84776f2692d',
+        'ccdf.json': 'd3cc3fdc310da3d05a08ac090276c3672d554298171081cafdd5c3938575c7af',
     },
     'papr-worst': {
         'stdout': '353696ad3ec1a13b70b407e93df35def1aee2a74d4fc97d713af290615c3e397',

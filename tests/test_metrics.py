@@ -10,9 +10,9 @@ from rpsdm.channel import (ChannelRealization, add_cp, awgn, effective_channel, 
                            transmit)
 from rpsdm.detection import (Detector, DetectorSpec, QamConstellation, SingularChannelError,
                              equalize, qam_demap, qam_map)
-from rpsdm.metrics import (ber_curve, ber_curves, ccdf_crossing, complexity_report,
-                           gamma_coefficient, papr, papr_ccdf, papr_db,
-                           worst_case_papr)
+from rpsdm.metrics import (_CCDF_CHUNK, _key_streams, ber_curve, ber_curves, ccdf_crossing,
+                           complexity_report, gamma_coefficient, papr, papr_ccdf,
+                           papr_ccdfs, papr_db, worst_case_papr)
 from rpsdm.number_theory import totient
 from rpsdm.transforms import Scheme, demodulate, make_plan, modulate
 
@@ -130,6 +130,113 @@ class TestPaprCcdf:
             total += float(np.mean(np.abs(modulate(plan, symbols)) ** 2))
         mean_power = total / trials
         assert mean_power <= QAM16.alpha2 * (1 + 5 / math.sqrt(trials))
+
+
+def reference_ccdf(scheme, n, qam, grid, trials, seed):
+    """Oracle: the per-curve loop, seeding ``default_rng([seed, t])`` for
+    every block of every curve and drawing at the curve's own N."""
+    forward_t = make_plan(scheme, n).forward.T.copy() if scheme is Scheme.RPSDM else None
+    exceed = np.zeros(grid.shape[0], dtype=np.int64)
+    for start in range(0, trials, _CCDF_CHUNK):
+        stop = min(start + _CCDF_CHUNK, trials)
+        idx = np.array([np.random.default_rng([seed, t]).integers(0, qam.m, n)
+                        for t in range(start, stop)])
+        symbols = qam.points[idx]
+        if scheme is Scheme.OFDM:
+            blocks = math.sqrt(n) * np.fft.ifft(symbols, axis=1)
+        else:
+            blocks = symbols.real @ forward_t + 1j * (symbols.imag @ forward_t)
+        power = np.abs(blocks) ** 2
+        ratios_db = 10.0 * np.log10(power.max(axis=1) / power.mean(axis=1))
+        exceed += (ratios_db[:, None] > grid[None, :]).sum(axis=0)
+    return exceed / trials
+
+
+class TestPaprCcdfEngine:
+    """``papr_ccdfs`` draws each block once for every curve; each curve is
+    the one that seeding every block of that curve alone gives."""
+
+    @pytest.mark.parametrize("n_list, m, trials", [
+        ((512, 12, 64, 12), 16, 300),
+        ((8, 1, 24), 64, 200),
+        ((4, 16), 4, _CCDF_CHUNK + 5),  # two chunks
+    ])
+    def test_curves_equal_the_per_curve_reference(self, n_list, m, trials):
+        qam = QamConstellation.from_order(m)
+        grid = np.arange(0.0, 12.0, 0.5)
+        curves = papr_ccdfs(SCHEMES, n_list, qam, grid, trials, seed=2**32 + 7)
+        assert [(c.n, c.scheme) for c in curves] == [(n, s) for n in n_list for s in SCHEMES]
+        for curve in curves:
+            expected = reference_ccdf(curve.scheme, curve.n, qam, grid, trials, 2**32 + 7)
+            assert curve.values.tobytes() == expected.tobytes()
+            alone = papr_ccdf(curve.scheme, curve.n, qam, grid, trials, seed=2**32 + 7)
+            for attr in ("values", "ci_low", "ci_high"):
+                assert getattr(curve, attr).tobytes() == getattr(alone, attr).tobytes()
+
+    def test_rejects_bad_arguments(self):
+        grid = np.array([3.0])
+        with pytest.raises(ValueError, match="trials"):
+            papr_ccdfs(SCHEMES, (8,), QAM16, grid, 0, seed=1)
+        with pytest.raises(ValueError, match="one scheme and one block length"):
+            papr_ccdfs(SCHEMES, (), QAM16, grid, 10, seed=1)
+        with pytest.raises(ValueError, match="non-negative"):
+            papr_ccdfs(SCHEMES, (8,), QAM16, grid, 10, seed=-1)
+
+
+class TestKeyStreams:
+    """``_key_streams`` gives, row by row, the stream of
+    ``np.random.default_rng`` of that row's key."""
+
+    #: trial indices of one word, of two (from 2^32) and of the largest int64
+    TRIALS = np.array([0, 1, 2, 3, 99, 2047, 2048, 65535, 2**31, 2**32 - 1, 2**32,
+                       2**32 + 1, 2**40 + 3, 2**63 - 1])
+
+    @pytest.mark.parametrize("seed", [0, 1, 20_240, 2**32 - 1, 2**32, 2**64 + 1, 2**100 + 5])
+    @pytest.mark.parametrize("m", [4, 16, 64])
+    def test_two_entry_keys(self, seed, m):
+        streams = _key_streams(seed, self.TRIALS)
+        for k, (t, rng) in enumerate(zip(self.TRIALS, streams, strict=True)):
+            n = 1 + (37 * k) % 512 if k else 512
+            expected = np.random.default_rng([seed, int(t)]).integers(0, m, n)
+            assert rng.integers(0, m, n).tobytes() == expected.tobytes()
+
+    def test_random_four_entry_keys(self):
+        # the BER stream layout (seed, point, trial, attempt), every entry of
+        # random width, drawing the BER engine's integers and normals
+        draw = np.random.default_rng(2024)
+        for _ in range(20):
+            seed = int(draw.integers(0, 2**63)) << int(draw.integers(0, 70))
+            points, trials = (draw.integers(0, 2**63, 8) >> draw.integers(0, 63, 8)
+                              for _ in range(2))
+            attempt = int(draw.integers(0, 3))
+            streams = _key_streams(seed, points, trials, attempt)
+            for p, t, rng in zip(points, trials, streams, strict=True):
+                expected = np.random.default_rng([seed, int(p), int(t), attempt])
+                assert rng.integers(0, 2, 64).tobytes() == expected.integers(0, 2, 64).tobytes()
+                assert (rng.standard_normal(9).tobytes()
+                        == expected.standard_normal(9).tobytes())
+
+    def test_scalar_key_is_one_row(self):
+        (rng,) = _key_streams(2**32 + 9)
+        assert rng.random(5).tobytes() == np.random.default_rng(2**32 + 9).random(5).tobytes()
+
+    @pytest.mark.parametrize("m", [4, 16, 64])
+    def test_draws_share_a_prefix(self, m):
+        # the shared CCDF draw: a block of length n is the first n indices
+        # that the same stream draws at a larger N
+        for key in ([0, 0], [20_240, 7], [2**32, 2**32 + 1]):
+            full = np.random.default_rng(key).integers(0, m, 512)
+            for n in range(1, 513):
+                np.testing.assert_array_equal(
+                    np.random.default_rng(key).integers(0, m, n), full[:n])
+
+    @pytest.mark.parametrize("key", [(-1, np.arange(3)), (5, np.array([0, -2, 1])), (-(2**40),)])
+    def test_negative_entry_raises_as_default_rng_does(self, key):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            next(_key_streams(*key))
+        row = [entry[1] if isinstance(entry, np.ndarray) else entry for entry in key]
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            np.random.default_rng(row)
 
 
 class TestCcdfCrossing:
