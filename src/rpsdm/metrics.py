@@ -21,7 +21,12 @@ seed, t), once at the job's largest N, and the curve at each N reads the
 first N of them, which is the draw of that length from the same stream.
 Every stream is the one ``np.random.default_rng(key)`` gives; the CCDF
 engine computes a chunk's SeedSequence hashes and PCG64 seeds together in
-numpy and loads each row's state into one reused Generator.
+numpy, loads each row's state into one reused Generator, and reads the
+indices ``integers(0, m, N)`` would draw straight from its raw 64-bit
+words (m is a power of two). Each curve synthesizes its blocks once per
+chunk: OFDM by the scaled ifft, RPSDM at power-of-two N from
+``_HAAR_MIN_N`` by the O(N) Haar butterfly, with no plan, and RPSDM at
+other N by a real gemm on its basis.
 """
 
 from __future__ import annotations
@@ -38,13 +43,19 @@ from .detection import (Detector, DetectorSpec, QamConstellation, SingularChanne
                         equalize, qam_demap, qam_map)
 from .number_theory import divisor_set, is_power_of_two, totient
 from .ramanujan import ramanujan_sum
-from .transforms import Scheme, direct_flops, fast_flops, make_plan, modulate, demodulate
+from .transforms import (Scheme, demodulate, direct_flops, fast_flops, haar_synthesis, make_plan,
+                         modulate)
 
 #: binomial 95% confidence half-width multiplier
 _CI_Z = 1.96
 
 #: trials per batched CCDF chunk (fixed so output never depends on memory)
 _CCDF_CHUNK = 2048
+
+#: smallest power-of-two N whose RPSDM CCDF blocks come from the Haar
+#: butterfly instead of the real gemm: timed over whole calls (plan build
+#: included, BLAS 1 thread), the gemm was as fast or faster at N = 4 ... 32
+_HAAR_MIN_N = 64
 
 #: (SNR point, trial) rows per batched BER chunk (fixed, like _CCDF_CHUNK)
 _BER_CHUNK = 64
@@ -228,17 +239,32 @@ def _key_streams(*key):
         yield rng
 
 
-def _exceed_counts(symbols: np.ndarray, forward_t: np.ndarray | None,
-                   thresholds_db: np.ndarray) -> np.ndarray:
-    """How many of the (rows, N) symbol blocks have a PAPR above each
-    threshold, each block synthesized by OFDM's scaled ifft, or by the real
-    basis ``forward_t`` (transposed) when one is given. A call per curve
-    frees its temporaries before the next curve allocates its own."""
-    if forward_t is None:
-        blocks = math.sqrt(symbols.shape[1]) * np.fft.ifft(symbols, axis=1)
-    else:
-        # real basis: two real gemms cost half of one complex gemm
-        blocks = symbols.real @ forward_t + 1j * (symbols.imag @ forward_t)
+def _ccdf_synthesis(scheme: Scheme, n: int):
+    """The block synthesis of one CCDF curve, as a function of the (rows, N)
+    symbols: OFDM's scaled ifft, the Haar butterfly for RPSDM at a power of
+    two N from ``_HAAR_MIN_N``, and otherwise the real gemm on the basis."""
+    if scheme is Scheme.OFDM:
+        return lambda symbols: math.sqrt(n) * np.fft.ifft(symbols, axis=1)
+    if n >= _HAAR_MIN_N and is_power_of_two(n):
+        return haar_synthesis
+    forward_t = make_plan(scheme, n).forward.T.copy()
+    # real basis: two real gemms cost half of one complex gemm
+    return lambda symbols: symbols.real @ forward_t + 1j * (symbols.imag @ forward_t)
+
+
+def _symbol_indices(streams, n: int, m: int) -> np.ndarray:
+    """The indices ``rng.integers(0, m, n)`` of each stream, one row per
+    stream, for a power-of-two m, read from raw PCG64 output. For such m,
+    Lemire's bounded draw never rejects and keeps the top log2(m) bits of
+    each 32-bit word, and PCG64 serves every 64-bit output as two words, low
+    half first."""
+    raw = np.array([rng.bit_generator.random_raw((n + 1) // 2) for rng in streams])
+    words = raw.astype("<u8", copy=False).view("<u4")  # little-endian: low half first
+    return (words[:, :n] >> np.uint32(32 - (m.bit_length() - 1))).astype(np.intp)
+
+
+def _exceed_counts(blocks: np.ndarray, thresholds_db: np.ndarray) -> np.ndarray:
+    """How many of the (rows, N) blocks have a PAPR above each threshold."""
     power = np.abs(blocks) ** 2
     ratios_db = 10.0 * np.log10(power.max(axis=1) / power.mean(axis=1))
     return (ratios_db[:, None] > thresholds_db[None, :]).sum(axis=0)
@@ -259,20 +285,22 @@ def papr_ccdfs(schemes, n_list, constellation: QamConstellation,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not schemes or not n_list:
         raise ValueError("need at least one scheme and one block length")
+    if not is_power_of_two(constellation.m):
+        raise ValueError(f"CCDF symbols need a power-of-two modulation order, "
+                         f"got {constellation.m}")
     thresholds_db = np.asarray(thresholds_db, dtype=np.float64)
     points = constellation.points
     pairs = list(dict.fromkeys((n, scheme) for n in n_list for scheme in schemes))
-    forward_t = {(n, scheme): make_plan(scheme, n).forward.T.copy()
-                 if scheme is Scheme.RPSDM else None for n, scheme in pairs}
+    synthesis = {(n, scheme): _ccdf_synthesis(scheme, n) for n, scheme in pairs}
     exceed = {pair: np.zeros(thresholds_db.shape[0], dtype=np.int64) for pair in pairs}
     n_max = max(n_list)
     for start in range(0, trials, _CCDF_CHUNK):
         stop = min(start + _CCDF_CHUNK, trials)
-        idx = np.empty((stop - start, n_max), dtype=np.int64)
-        for row, rng in enumerate(_key_streams(seed, np.arange(start, stop))):
-            idx[row] = rng.integers(0, constellation.m, n_max)
+        idx = _symbol_indices(_key_streams(seed, np.arange(start, stop)), n_max,
+                              constellation.m)
         for n, scheme in pairs:
-            exceed[n, scheme] += _exceed_counts(points[idx[:, :n]], forward_t[n, scheme],
+            # one curve's blocks are freed before the next curve synthesizes its own
+            exceed[n, scheme] += _exceed_counts(synthesis[n, scheme](points[idx[:, :n]]),
                                                 thresholds_db)
     curves = []
     for n in n_list:

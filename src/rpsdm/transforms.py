@@ -7,6 +7,8 @@ a stack of those products, one per row, so each row's bytes equal its own
 1-D call. ``sparse_irpt`` and
 ``synthesize_by_subspaces`` are test oracles that the dense route must
 agree with; ``sparse_irpt`` also carries the sparse op count.
+``haar_synthesis`` is RPSDM's synthesis at power-of-two N with no N x N
+matrix: an O(N) butterfly that the CCDF engine runs on (rows, N) batches.
 
 Flop counters reproduce the published closed forms under one fixed costing:
 a complex*complex multiply is 4 real multiplies + 2 real adds, a complex add
@@ -115,6 +117,38 @@ def synthesize_by_subspaces(transform: PeriodicTransform, symbols: np.ndarray) -
         weight = 1.0 / np.sqrt(n * phi)
         for l in range(phi):
             x = x + weight * symbols[offset + l] * c[(rows - l) % q]
+    return x
+
+
+def haar_synthesis(symbols: np.ndarray) -> np.ndarray:
+    """``forward @ s`` at power-of-two N for one length-N vector or each row
+    of a (rows, N) batch, with no N x N basis: N scalings and 2(N-1) adds.
+
+    At N = 2^k, subspace q = 2h has offset h and width h, and its weighted
+    columns add sqrt(h/N) * [s_q, -s_q], tiled, to the block; q = 1 adds
+    s[0]/sqrt(N). So the block is the unnormalized Haar synthesis
+    x_1 = s[0]/sqrt(N), x_2h = [x_h + t_h, x_h - t_h] with
+    t_h = sqrt(h/N) * s[h:2h]. The weights are the entries of ``forward``
+    bit for bit, so each product equals the dense route's."""
+    symbols = np.asarray(symbols)
+    n = symbols.shape[-1]
+    if not is_power_of_two(n):
+        raise ValueError(f"Haar synthesis requires a power-of-two length, got {n}")
+    weights = np.empty(n)
+    weights[0] = 1.0 / np.sqrt(n)
+    h = 1
+    while h < n:
+        weights[h:2 * h] = h * (1.0 / np.sqrt(n * h))  # c_2h's value h times q_norm
+        h *= 2
+    x = symbols * weights
+    spare = np.empty_like(x[..., :n // 2])
+    h = 1
+    while h < n:
+        head, tail, diff = x[..., :h], x[..., h:2 * h], spare[..., :h]
+        np.subtract(head, tail, out=diff)
+        head += tail
+        tail[...] = diff
+        h *= 2
     return x
 
 

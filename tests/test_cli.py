@@ -361,6 +361,14 @@ class TestConfigErrors:
         assert "config error: cannot write" in capsys.readouterr().err
         assert [p.name for p in tmp_path.rglob("*")] == ["b_er.csv"]
 
+    def test_corrupted_power_of_two_basis_exits_3(self, tmp_path, capsys, monkeypatch):
+        import rpsdm.ramanujan
+        real = rpsdm.ramanujan.subspace_basis
+        monkeypatch.setattr(rpsdm.ramanujan, "subspace_basis", lambda q, n: 2 * real(q, n))
+        assert run("dump-basis", "--n", "8", "--output", str(tmp_path / "b")) == 3
+        assert "numerical failure: basis for n=8 failed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_numerical_exit_path_exists(self):
         # numerical failures map to exit 3; the residual check cannot be
         # tripped by valid input, so just pin the exit-code contract

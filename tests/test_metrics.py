@@ -10,9 +10,9 @@ from rpsdm.channel import (ChannelRealization, add_cp, awgn, effective_channel, 
                            transmit)
 from rpsdm.detection import (Detector, DetectorSpec, QamConstellation, SingularChannelError,
                              equalize, qam_demap, qam_map)
-from rpsdm.metrics import (_CCDF_CHUNK, _key_streams, ber_curve, ber_curves, ccdf_crossing,
-                           complexity_report, gamma_coefficient, papr, papr_ccdf,
-                           papr_ccdfs, papr_db, worst_case_papr)
+from rpsdm.metrics import (_CCDF_CHUNK, _HAAR_MIN_N, _key_streams, _symbol_indices, ber_curve,
+                           ber_curves, ccdf_crossing, complexity_report, gamma_coefficient,
+                           papr, papr_ccdf, papr_ccdfs, papr_db, worst_case_papr)
 from rpsdm.number_theory import totient
 from rpsdm.transforms import Scheme, demodulate, make_plan, modulate
 
@@ -160,6 +160,7 @@ class TestPaprCcdfEngine:
         ((512, 12, 64, 12), 16, 300),
         ((8, 1, 24), 64, 200),
         ((4, 16), 4, _CCDF_CHUNK + 5),  # two chunks
+        ((1, 2, 32, 96, 2048), 256, 120),  # butterfly, gemm and prefix draws in one call
     ])
     def test_curves_equal_the_per_curve_reference(self, n_list, m, trials):
         qam = QamConstellation.from_order(m)
@@ -172,6 +173,21 @@ class TestPaprCcdfEngine:
             alone = papr_ccdf(curve.scheme, curve.n, qam, grid, trials, seed=2**32 + 7)
             for attr in ("values", "ci_low", "ci_high"):
                 assert getattr(curve, attr).tobytes() == getattr(alone, attr).tobytes()
+
+    def test_power_of_two_lengths_build_no_plan(self, monkeypatch):
+        # OFDM's ifft and RPSDM's butterfly need no N x N matrix
+        def no_plan(scheme, n):
+            raise AssertionError(f"make_plan({scheme}, {n}) called")
+        monkeypatch.setattr(rpsdm.metrics, "make_plan", no_plan)
+        n_list = (_HAAR_MIN_N, 512, 2048)
+        curves = papr_ccdfs(SCHEMES, n_list, QAM16, np.arange(0.0, 12.0, 0.5), 50, seed=3)
+        assert [(c.n, c.scheme) for c in curves] == [(n, s) for n in n_list for s in SCHEMES]
+
+    def test_rejects_a_modulation_order_that_is_not_a_power_of_two(self):
+        # a hand-built constellation: its symbols cannot be read from raw words
+        nine = QamConstellation(m=9, points=np.arange(9) + 1j, alpha2=1.0, beta2=1.0)
+        with pytest.raises(ValueError, match="power-of-two modulation order, got 9"):
+            papr_ccdfs(SCHEMES, (8,), nine, np.array([3.0]), 10, seed=1)
 
     def test_rejects_bad_arguments(self):
         grid = np.array([3.0])
@@ -199,6 +215,16 @@ class TestKeyStreams:
             n = 1 + (37 * k) % 512 if k else 512
             expected = np.random.default_rng([seed, int(t)]).integers(0, m, n)
             assert rng.integers(0, m, n).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 16, 64, 256])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 511, 2047, 2048])
+    def test_symbol_indices_from_raw_words(self, m, n):
+        # the CCDF's indices, read from raw PCG64 words, are the draws of
+        # integers(0, m, n) on each row's stream
+        trials = self.TRIALS[::3]
+        idx = _symbol_indices(_key_streams(20_240, trials), n, m)
+        expected = [np.random.default_rng([20_240, int(t)]).integers(0, m, n) for t in trials]
+        assert idx.tobytes() == np.array(expected, dtype=np.intp).tobytes()
 
     def test_random_four_entry_keys(self):
         # the BER stream layout (seed, point, trial, attempt), every entry of

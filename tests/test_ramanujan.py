@@ -10,9 +10,10 @@ import math
 import numpy as np
 import pytest
 
+import rpsdm.ramanujan
 from rpsdm.number_theory import divisor_set, is_power_of_two, totient
-from rpsdm.ramanujan import (build_transform, circulant_integer_matrix, dft_support,
-                             ramanujan_sum, subspace_basis)
+from rpsdm.ramanujan import (NumericalError, build_transform, circulant_integer_matrix,
+                             dft_support, ramanujan_sum, subspace_basis)
 
 PRIMES_TO_97 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -204,7 +205,7 @@ class TestBuildTransform:
             assert residual < 1e-9, (n, residual)
 
     def test_transpose_equals_inverse_for_powers_of_two(self):
-        for n in (2, 4, 8, 16, 32, 64):
+        for n in (2, 4, 8, 16, 32, 64, 1024):
             t = build_transform(n)
             np.testing.assert_allclose(np.linalg.inv(t.forward), t.forward.T, atol=1e-9)
             np.testing.assert_allclose(t.forward.T @ t.forward, np.eye(n), atol=1e-9)
@@ -218,6 +219,47 @@ class TestBuildTransform:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             build_transform(0)
+
+
+def corrupt_two_periodic(basis: np.ndarray) -> np.ndarray:
+    """The shifts of [2, 0, 2, 0]: orthogonal within the block with the
+    right norms, but 2-periodic, so not orthogonal to the q = 1, 2 blocks."""
+    c = np.array([2, 0, 2, 0])
+    return c[(np.arange(basis.shape[0])[:, None] - np.arange(2)) % 4]
+
+
+def corrupt_entry(basis: np.ndarray) -> np.ndarray:
+    basis = basis.copy()
+    basis[5, 1] += 1
+    return basis
+
+
+#: (divisor whose block is corrupted, corruption)
+CORRUPTIONS = {"one entry": (8, corrupt_entry), "doubled block": (8, lambda b: 2 * b),
+               "two-periodic block": (4, corrupt_two_periodic)}
+
+
+class TestPowerOfTwoBasisCheck:
+    """At power-of-two N the pair is checked by the exact orthogonality of
+    the integer basis, not by a dense residual product."""
+
+    @pytest.mark.parametrize("name", CORRUPTIONS)
+    def test_corrupted_basis_raises(self, monkeypatch, name):
+        bad_q, corrupt = CORRUPTIONS[name]
+        real = rpsdm.ramanujan.subspace_basis
+
+        def corrupted(q, n_total):
+            basis = real(q, n_total)
+            return corrupt(basis) if q == bad_q else basis
+
+        monkeypatch.setattr(rpsdm.ramanujan, "subspace_basis", corrupted)
+        n = 16
+        # the corruption does break orthonormality of the weighted columns
+        forward = np.hstack([corrupted(q, n) / np.sqrt(n * phi)
+                             for q, phi, _ in divisor_set(n).blocks()])
+        assert np.abs(forward.T @ forward - np.eye(n)).max() > 0.1
+        with pytest.raises(NumericalError, match=f"orthogonality check at q={bad_q}$"):
+            build_transform(n)
 
 
 class TestDftSupport:

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from rpsdm.detection import QamConstellation
-from rpsdm.ramanujan import build_transform
-from rpsdm.transforms import (Scheme, demodulate, direct_flops, fast_flops, make_plan,
-                              modulate, sparse_irpt, synthesize_by_subspaces)
+from rpsdm.number_theory import divisor_set
+from rpsdm.ramanujan import build_transform, subspace_basis
+from rpsdm.transforms import (Scheme, demodulate, direct_flops, fast_flops, haar_synthesis,
+                              make_plan, modulate, sparse_irpt, synthesize_by_subspaces)
 
 
 def random_symbols(n: int, seed: int) -> np.ndarray:
@@ -139,6 +140,54 @@ class TestSubspaceSynthesisRoute:
             s = random_symbols(n, 77 * n + trial)
             via_sum = synthesize_by_subspaces(plan.transform, s)
             np.testing.assert_allclose(via_sum, modulate(plan, s), atol=1e-9)
+
+
+def max_relative_error(got: np.ndarray, expected: np.ndarray) -> float:
+    return float(np.abs(got - expected).max() / np.abs(expected).max())
+
+
+class TestHaarSynthesis:
+    """The O(N) butterfly against the dense product ``forward @ s``."""
+
+    @pytest.mark.parametrize("n", [2 ** k for k in range(12)])
+    def test_matches_dense_product_and_subspace_sum(self, n):
+        plan = make_plan(Scheme.RPSDM, n)
+        for trial in range(3):
+            s = random_symbols(n, 91 * n + trial)
+            got = haar_synthesis(s)
+            assert got.dtype == np.complex128
+            assert max_relative_error(got, plan.forward @ s) <= 1e-13
+            assert max_relative_error(got, synthesize_by_subspaces(plan.transform, s)) <= 1e-13
+
+    def test_matches_dense_product_at_4096(self):
+        # forward[:, block] is subspace_basis(q, n) * q_norm[block]: the dense
+        # product one divisor block at a time, without a 4096 x 4096 matrix
+        n = 4096
+        s = random_symbols(n, 4096)
+        expected = np.zeros(n, dtype=complex)
+        for q, phi, offset in divisor_set(n).blocks():
+            expected += subspace_basis(q, n) @ (s[offset:offset + phi] / np.sqrt(n * phi))
+        assert max_relative_error(haar_synthesis(s), expected) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 512])
+    def test_real_symbols_stay_real(self, n):
+        plan = make_plan(Scheme.RPSDM, n)
+        s = np.random.default_rng(n).standard_normal(n)
+        x = haar_synthesis(s)
+        assert x.dtype == np.float64
+        assert max_relative_error(x, plan.forward @ s) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 8, 256])
+    def test_batch_rows_equal_one_dimensional_calls(self, n):
+        batch = np.stack([random_symbols(n, 500 * n + r) for r in range(4)])
+        got = haar_synthesis(batch)
+        assert got.shape == batch.shape
+        assert got.tobytes() == np.stack([haar_synthesis(row) for row in batch]).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 6, 12, 96])
+    def test_rejects_non_power_of_two(self, n):
+        with pytest.raises(ValueError, match="power-of-two"):
+            haar_synthesis(np.ones(n, dtype=complex))
 
 
 class TestPowerScale:
