@@ -6,7 +6,7 @@ from .number_theory import DivisorSet, divisor_count, divisor_set, gcd, mobius, 
 from .ramanujan import (NumericalError, PeriodicTransform, RamanujanSum, build_transform,
                         circulant_integer_matrix, dft_support, ramanujan_sum, subspace_basis)
 from .transforms import (FlopCount, ModulatorPlan, Scheme, demodulate, direct_flops,
-                         fast_flops, haar_synthesis, make_plan, modulate, sparse_irpt,
+                         fast_flops, make_plan, modulate, sparse_irpt,
                          synthesize_by_subspaces)
 from .channel import (ChannelRealization, EffectiveChannel, add_cp, awgn,
                       circulant_from_column, circulant_matrix, draw_channel, effective_channel,
@@ -28,7 +28,7 @@ __all__ = [
     "build_transform", "ccdf_crossing", "circulant_from_column",
     "circulant_integer_matrix", "circulant_matrix", "complexity_report", "demodulate",
     "dft_support", "direct_flops", "divisor_count", "divisor_set", "draw_channel",
-    "effective_channel", "equalize", "fast_flops", "gamma_coefficient", "gcd", "haar_synthesis",
+    "effective_channel", "equalize", "fast_flops", "gamma_coefficient", "gcd",
     "is_skew_circulant", "is_stair_block_diagonal", "is_toeplitz", "make_plan",
     "mobius", "modulate", "papr", "papr_ccdf", "papr_ccdfs", "papr_db", "qam_demap", "qam_map",
     "ramanujan_sum", "remove_cp", "sparse_irpt", "structure_report", "subspace_basis",

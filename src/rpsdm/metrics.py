@@ -24,9 +24,8 @@ engine computes a chunk's SeedSequence hashes and PCG64 seeds together in
 numpy, loads each row's state into one reused Generator, and reads the
 indices ``integers(0, m, N)`` would draw straight from its raw 64-bit
 words (m is a power of two). Each curve synthesizes its blocks once per
-chunk: OFDM by the scaled ifft, RPSDM at power-of-two N from
-``_HAAR_MIN_N`` by the O(N) Haar butterfly, with no plan, and RPSDM at
-other N by a real gemm on its basis.
+chunk: OFDM by the scaled ifft, RPSDM at power-of-two N by the O(N) Haar
+butterfly, with no plan, and RPSDM at other N by a real gemm on its basis.
 """
 
 from __future__ import annotations
@@ -51,11 +50,6 @@ _CI_Z = 1.96
 
 #: trials per batched CCDF chunk (fixed so output never depends on memory)
 _CCDF_CHUNK = 2048
-
-#: smallest power-of-two N whose RPSDM CCDF blocks come from the Haar
-#: butterfly instead of the real gemm: timed over whole calls (plan build
-#: included, BLAS 1 thread), the gemm was as fast or faster at N = 4 ... 32
-_HAAR_MIN_N = 64
 
 #: (SNR point, trial) rows per batched BER chunk (fixed, like _CCDF_CHUNK)
 _BER_CHUNK = 64
@@ -242,10 +236,10 @@ def _key_streams(*key):
 def _ccdf_synthesis(scheme: Scheme, n: int):
     """The block synthesis of one CCDF curve, as a function of the (rows, N)
     symbols: OFDM's scaled ifft, the Haar butterfly for RPSDM at a power of
-    two N from ``_HAAR_MIN_N``, and otherwise the real gemm on the basis."""
+    two N, and otherwise the real gemm on the basis."""
     if scheme is Scheme.OFDM:
         return lambda symbols: math.sqrt(n) * np.fft.ifft(symbols, axis=1)
-    if n >= _HAAR_MIN_N and is_power_of_two(n):
+    if is_power_of_two(n):
         return haar_synthesis
     forward_t = make_plan(scheme, n).forward.T.copy()
     # real basis: two real gemms cost half of one complex gemm

@@ -125,44 +125,12 @@ class PeriodicTransform:
         return tuple(maps)
 
 
-def _orthogonal_block_failure(e_t: np.ndarray, layout: DivisorSet) -> int | None:
-    """The first divisor q whose block of the power-of-two basis ``e_t`` is
-    not orthogonal, with squared column norms N*phi(q), to itself and to
-    every earlier block; None if there is none. Exact integer arithmetic in
-    O(sum of q^2).
-
-    Each column of a block but its first must be the one before it shifted
-    down by one, and the first column c must satisfy c[r + q/2] = -c[r]
-    (c constant for q = 1). Then the block is q-periodic, so its Gram is
-    (N/q) R[l' - l] with R the circular autocorrelation of one period, whose
-    first row c @ period is checked. And every earlier block is
-    (q/2)-periodic, so it is orthogonal to this one: the disjoint DFT
-    supports of ``dft_support``, in integers."""
-    n = e_t.shape[0]
-    q, phi, first = (np.array(v) for v in zip(*layout.blocks()))
-    bad = np.zeros(n, dtype=bool)  # per column
-    bad[1:] = ~((e_t[1:, 1:] == e_t[:-1, :-1]).all(axis=0) & (e_t[0, 1:] == e_t[-1, :-1]))
-    bad[first] = False
-    gram = np.concatenate([(n // p) * np.einsum("r,rl->l", e_t[:p, f], e_t[:p, f:f + w])
-                           for p, w, f in layout.blocks()])  # einsum: integer @ is slow
-    expected = np.zeros(n, dtype=np.int64)
-    expected[first] = n * phi
-    bad |= gram != expected
-    c = e_t[:, first]
-    turned = c[(np.arange(n)[:, None] + np.maximum(q // 2, 1)) % n, np.arange(q.size)]
-    block_bad = (np.logical_or.reduceat(bad, first)
-                 | (turned != np.where(q == 1, c, -c)).any(axis=0))
-    return int(q[block_bad.argmax()]) if block_bad.any() else None
-
-
 def build_transform(n: int) -> PeriodicTransform:
     """Construct the transform pair for block length n.
 
-    Raises NumericalError if the pair fails its check, which cannot happen
-    for a correct basis. At power-of-two n, ``e_r`` is ``forward.T`` and the
-    check is the exact integer orthogonality of the basis, block by block.
-    Otherwise ``e_r`` is the dense inverse and its residual
-    ||e_r@forward - I|| must stay below INVERSE_RESIDUAL_TOL.
+    Raises NumericalError if the demodulation residual ||e_r@forward - I||
+    exceeds INVERSE_RESIDUAL_TOL (cannot happen for a nonsingular basis; kept
+    as a hard internal check on the dense inversion path).
     """
     if n < 1:
         raise ValueError(f"build_transform requires n >= 1, got {n}")
@@ -174,17 +142,14 @@ def build_transform(n: int) -> PeriodicTransform:
         q_norm[offset:offset + phi] = 1.0 / np.sqrt(n * phi)
     forward = e_t * q_norm  # column scaling
     if is_power_of_two(n):
-        failed = _orthogonal_block_failure(e_t, layout)
-        if failed is not None:
-            raise NumericalError(
-                f"basis for n={n} failed its orthogonality check at q={failed}")
         e_r = forward.T.copy()
     else:
         e_r = np.linalg.inv(forward)
-        residual = np.abs(e_r @ forward - np.eye(n)).max()
-        if residual >= INVERSE_RESIDUAL_TOL:
-            raise NumericalError(
-                f"demodulation pair for n={n} failed residual check: {residual:.3e}")
+    residual = np.abs(e_r @ forward - np.eye(n)).max()
+    if residual >= INVERSE_RESIDUAL_TOL:
+        raise NumericalError(
+            f"demodulation pair for n={n} failed residual check: {residual:.3e}"
+        )
     return PeriodicTransform(n=n, layout=layout, e_t=e_t, q_norm=q_norm,
                              forward=forward, e_r=e_r)
 

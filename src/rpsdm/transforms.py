@@ -129,7 +129,8 @@ def haar_synthesis(symbols: np.ndarray) -> np.ndarray:
     s[0]/sqrt(N). So the block is the unnormalized Haar synthesis
     x_1 = s[0]/sqrt(N), x_2h = [x_h + t_h, x_h - t_h] with
     t_h = sqrt(h/N) * s[h:2h]. The weights are the entries of ``forward``
-    bit for bit, so each product equals the dense route's."""
+    bit for bit, so each product equals the dense route's; only the order
+    of the adds differs."""
     symbols = np.asarray(symbols)
     n = symbols.shape[-1]
     if not is_power_of_two(n):

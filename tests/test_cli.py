@@ -366,7 +366,8 @@ class TestConfigErrors:
         real = rpsdm.ramanujan.subspace_basis
         monkeypatch.setattr(rpsdm.ramanujan, "subspace_basis", lambda q, n: 2 * real(q, n))
         assert run("dump-basis", "--n", "8", "--output", str(tmp_path / "b")) == 3
-        assert "numerical failure: basis for n=8 failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure: demodulation pair for n=8 failed residual check" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_numerical_exit_path_exists(self):

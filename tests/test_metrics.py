@@ -10,7 +10,7 @@ from rpsdm.channel import (ChannelRealization, add_cp, awgn, effective_channel, 
                            transmit)
 from rpsdm.detection import (Detector, DetectorSpec, QamConstellation, SingularChannelError,
                              equalize, qam_demap, qam_map)
-from rpsdm.metrics import (_CCDF_CHUNK, _HAAR_MIN_N, _key_streams, _symbol_indices, ber_curve,
+from rpsdm.metrics import (_CCDF_CHUNK, _key_streams, _symbol_indices, ber_curve,
                            ber_curves, ccdf_crossing, complexity_report, gamma_coefficient,
                            papr, papr_ccdf, papr_ccdfs, papr_db, worst_case_papr)
 from rpsdm.number_theory import totient
@@ -179,7 +179,7 @@ class TestPaprCcdfEngine:
         def no_plan(scheme, n):
             raise AssertionError(f"make_plan({scheme}, {n}) called")
         monkeypatch.setattr(rpsdm.metrics, "make_plan", no_plan)
-        n_list = (_HAAR_MIN_N, 512, 2048)
+        n_list = (1, 2, 16, 64, 512, 2048)
         curves = papr_ccdfs(SCHEMES, n_list, QAM16, np.arange(0.0, 12.0, 0.5), 50, seed=3)
         assert [(c.n, c.scheme) for c in curves] == [(n, s) for n in n_list for s in SCHEMES]
 
