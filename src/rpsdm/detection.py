@@ -6,18 +6,23 @@ divisor block for the subspace scheme. Subspace q lives on the DFT bins
 supp(q), so an RPSDM block is A_q^{-1} diag(H_q) A_q with A_q the fixed map
 F[supp q] @ forward[:, block q]. ZF (any N) and MMSE with A_q^H A_q = N I
 (exactly when N is a power of two) therefore reduce to OFDM's per-bin
-weights H* / (|H|^2 + zeta) between the forward map and its inverse:
-e_r @ ifft(W * fft(forward @ y)), with no block matrix formed. Only MMSE at
-other N solves the regularized normal equations block by block. The route
-follows from the scheme, the detector and N alone; every channel is given
-by its gains on the normalized basis. Bit labels use Gray coding per axis;
+weights W = H* / (|H|^2 + zeta) between fixed maps, with no block matrix
+formed (``per_bin``). That per-bin core, ``equalize_spectrum``, takes the
+unitary spectrum Y of the received time-domain block r (CP removed),
+Y = fft(r, norm="ortho"): OFDM's estimate is W * Y, RPSDM's is
+e_r @ ifft(W * Y, norm="ortho"), with ``haar_analysis`` as e_r at
+power-of-two N. ``equalize`` takes the demodulated block y instead, which
+is OFDM's Y itself; for RPSDM it rebuilds r = forward @ y first (by
+``haar_synthesis`` at power-of-two N). Only MMSE at other N solves the
+regularized normal equations block by block on y. Every channel is given by
+its gains on the normalized basis. Bit labels use Gray coding per axis;
 ``qam_map`` and ``qam_demap`` work on symbols normalized to unit average
 energy, so sigma^2 parameterizes both the SNR and the MMSE regularizer.
-``equalize``, ``qam_map`` and ``qam_demap`` also take a batch with rows
-first (the BER engine's (rows, N) arrays, with one zeta per row), giving
-each row the bytes of its own call. A ZF batch with an exactly singular row
-raises one SingularChannelError for the whole batch; a caller that needs
-the other rows' estimates reruns the rows one at a time.
+``equalize``, ``equalize_spectrum``, ``qam_map`` and ``qam_demap`` also take
+a batch with rows first (the BER engine's (rows, N) arrays, with one zeta
+per row), giving each row the bytes of its own call. A ZF batch with an
+exactly singular row raises one SingularChannelError for the whole batch; a
+caller that needs the other rows' estimates reruns the rows one at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import EffectiveChannel
-from .transforms import Scheme, _real_matvec
+from .transforms import Scheme, _real_matvec, haar_analysis, haar_synthesis
 
 
 class Detector(enum.Enum):
@@ -90,29 +95,63 @@ def _zero_gain_error(scheme: Scheme, zero: np.ndarray) -> SingularChannelError:
                                 where=f"q={q}")
 
 
+def per_bin(kind: Detector, eff: EffectiveChannel) -> bool:
+    """Whether the ``kind`` receiver equalizes ``eff`` bin by bin (OFDM; ZF
+    at every N; MMSE at power-of-two N) rather than by block solves."""
+    return eff.scheme is Scheme.OFDM or kind is Detector.ZF or eff.transform.transpose_path
+
+
+def _check_normalized(eff: EffectiveChannel) -> None:
+    if eff.basis != "normalized":
+        raise ValueError(f"equalize needs the normalized basis, got {eff.basis!r}")
+
+
+def _check_shape(eff: EffectiveChannel, v: np.ndarray) -> None:
+    if v.shape != eff.shape:
+        expected = f"block of length {eff.n}" if len(eff.shape) == 1 else f"shape {eff.shape}"
+        raise ValueError(f"expected {expected}, got shape {v.shape}")
+
+
+def _row_zeta(spec: DetectorSpec):
+    """The regularizer, a per-row zeta as a column against the rows of bins."""
+    return spec.zeta if np.ndim(spec.zeta) == 0 else np.asarray(spec.zeta)[:, None]
+
+
+def equalize_spectrum(spec: DetectorSpec, eff: EffectiveChannel,
+                      spectrum: np.ndarray) -> np.ndarray:
+    """Symbol estimates of a per-bin receiver (see ``per_bin``) from the
+    unitary spectrum fft(r, norm="ortho") of the received block r, or of each
+    row of a batch. Every row gets the bytes of its own 1-D call."""
+    _check_normalized(eff)
+    if not per_bin(spec.kind, eff):
+        raise ValueError("MMSE at a non-power-of-two N solves blocks: use equalize")
+    spectrum = np.asarray(spectrum)
+    _check_shape(eff, spectrum)
+    gains, t = eff.gains, eff.transform
+    denom = np.abs(gains) ** 2 + _row_zeta(spec)
+    if not denom.all():  # only ZF (zeta = 0) can hit a zero
+        raise _zero_gain_error(eff.scheme, denom == 0.0)
+    if eff.scheme is Scheme.OFDM:
+        return np.conj(gains) * spectrum / denom
+    block = np.fft.ifft(np.conj(gains) / denom * spectrum, norm="ortho")
+    return haar_analysis(block) if t.transpose_path else _real_matvec(t.e_r, block)
+
+
 def equalize(spec: DetectorSpec, eff: EffectiveChannel, y: np.ndarray) -> np.ndarray:
     """Recover symbol estimates from the demodulated block y, or from each
     row of y through the matching channel of a batch (zeta scalar or per
     row). Every row gets the bytes of its own 1-D call."""
-    if eff.basis != "normalized":
-        raise ValueError(f"equalize needs the normalized basis, got {eff.basis!r}")
+    _check_normalized(eff)
     y = np.asarray(y)
-    n = eff.n
-    if y.shape != eff.shape:
-        expected = f"block of length {n}" if len(eff.shape) == 1 else f"shape {eff.shape}"
-        raise ValueError(f"expected {expected}, got shape {y.shape}")
-    # a per-row zeta broadcasts as a column against the rows of bins
-    zeta = spec.zeta if np.ndim(spec.zeta) == 0 else np.asarray(spec.zeta)[:, None]
-    gains, t = eff.gains, eff.transform
-    if eff.scheme is Scheme.OFDM or spec.kind is Detector.ZF or t.transpose_path:
-        denom = np.abs(gains) ** 2 + zeta
-        if not denom.all():  # only ZF (zeta = 0) can hit a zero
-            raise _zero_gain_error(eff.scheme, denom == 0.0)
-        if eff.scheme is Scheme.OFDM:
-            return np.conj(gains) * y / denom
-        weights = np.conj(gains) / denom
-        return _real_matvec(t.e_r, np.fft.ifft(weights * np.fft.fft(_real_matvec(t.forward, y))))
+    _check_shape(eff, y)
+    t = eff.transform
+    if per_bin(spec.kind, eff):
+        if eff.scheme is Scheme.RPSDM:  # OFDM's y is already the spectrum
+            r = haar_synthesis(y) if t.transpose_path else _real_matvec(t.forward, y)
+            y = np.fft.fft(r, norm="ortho")
+        return equalize_spectrum(spec, eff, y)
     # MMSE at non-power-of-two N: A_q^H A_q != N I, so solve each block
+    zeta = _row_zeta(spec)
     out = np.empty(y.shape, dtype=np.complex128)
     if np.ndim(zeta):
         zeta = zeta[..., None]  # one regularizer per row's phi x phi gram

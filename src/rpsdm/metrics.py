@@ -5,8 +5,17 @@ Monte Carlo determinism: every trial draws from its own stream seeded by
 bit-identical regardless of chunking. One BER engine (``ber_curves``) runs
 every requested receiver on the same draws: each (point, trial) row's stream
 draws its taps, bits and noise once (``transmit`` adds the drawn noise and
-draws none itself), each scheme modulates, transmits and demodulates them
-once, and each (scheme, detector) receiver equalizes and demaps them.
+draws none itself), and each scheme synthesizes, transmits and strips the
+CP from them once. Synthesis is the one the CCDF engine uses
+(``_fast_synthesis``): OFDM's unitary ifft, RPSDM's O(N) Haar butterfly at
+power-of-two N, and ``modulate``'s row-exact product at other N. Each
+(scheme, detector) receiver then equalizes and demaps. A per-bin receiver
+(OFDM; RPSDM-ZF at every N; RPSDM-MMSE at power-of-two N) reads the unitary
+spectrum of the received block, shared per scheme, since ``forward @ e_r =
+I`` makes it the spectrum that ``equalize`` would rebuild from the
+demodulated block; only RPSDM-MMSE at other N demodulates and solves
+blocks. So at power-of-two N a trial runs no N x N product, and a job
+builds no N x N matrix beyond the RPSDM plan's checked transform.
 Every stage runs once per chunk of rows on (rows, N) arrays, giving each row
 the bytes of its own 1-D call, so a curve does not depend on the chunk size,
 on which rows share a batch, or on which other receivers run beside it. A
@@ -24,7 +33,7 @@ engine computes a chunk's SeedSequence hashes and PCG64 seeds together in
 numpy, loads each row's state into one reused Generator, and reads the
 indices ``integers(0, m, N)`` would draw straight from its raw 64-bit
 words (m is a power of two). Each curve synthesizes its blocks once per
-chunk: OFDM by the scaled ifft, RPSDM at power-of-two N by the O(N) Haar
+chunk: OFDM by the unitary ifft, RPSDM at power-of-two N by the O(N) Haar
 butterfly, with no plan, and RPSDM at other N by a real gemm on its basis.
 """
 
@@ -39,7 +48,7 @@ import numpy as np
 from .channel import (ChannelRealization, add_cp, awgn, draw_channel, effective_channel,
                       remove_cp, transmit)
 from .detection import (Detector, DetectorSpec, QamConstellation, SingularChannelError,
-                        equalize, qam_demap, qam_map)
+                        equalize, equalize_spectrum, per_bin, qam_demap, qam_map)
 from .number_theory import divisor_set, is_power_of_two, totient
 from .ramanujan import ramanujan_sum
 from .transforms import (Scheme, demodulate, direct_flops, fast_flops, haar_synthesis, make_plan,
@@ -233,14 +242,22 @@ def _key_streams(*key):
         yield rng
 
 
-def _ccdf_synthesis(scheme: Scheme, n: int):
-    """The block synthesis of one CCDF curve, as a function of the (rows, N)
-    symbols: OFDM's scaled ifft, the Haar butterfly for RPSDM at a power of
-    two N, and otherwise the real gemm on the basis."""
+def _fast_synthesis(scheme: Scheme, n: int):
+    """The block synthesis of (rows, N) symbols with no N x N matrix, shared
+    by both engines: OFDM's unitary ifft at every N, and the Haar butterfly
+    for RPSDM at power-of-two N. None for RPSDM at other N, whose synthesis
+    needs its basis."""
     if scheme is Scheme.OFDM:
-        return lambda symbols: math.sqrt(n) * np.fft.ifft(symbols, axis=1)
-    if is_power_of_two(n):
-        return haar_synthesis
+        return lambda symbols: np.fft.ifft(symbols, norm="ortho")
+    return haar_synthesis if is_power_of_two(n) else None
+
+
+def _ccdf_synthesis(scheme: Scheme, n: int):
+    """The block synthesis of one CCDF curve: ``_fast_synthesis``, or else
+    the real gemm on the basis."""
+    fast = _fast_synthesis(scheme, n)
+    if fast is not None:
+        return fast
     forward_t = make_plan(scheme, n).forward.T.copy()
     # real basis: two real gemms cost half of one complex gemm
     return lambda symbols: symbols.real @ forward_t + 1j * (symbols.imag @ forward_t)
@@ -353,12 +370,15 @@ def _ber_trial(receivers, constellation, l: int, sigma2: np.ndarray,
     """End-to-end trials as one batch, a row per seed key at stream
     ``attempt`` and noise variance ``sigma2[row]``, through every ``(plan,
     detector)`` receiver. Each row's stream draws its taps, bits and AWGN in
-    that order, once for all receivers; each scheme modulates, transmits,
-    demodulates and builds its effective channel once on the (rows, N)
-    arrays, and each receiver equalizes and demaps once. Returns, per
-    receiver, each row's (bit errors, summed squared symbol error), or None
-    where a ZF row hit an exact zero and that receiver's equalize raised
-    SingularChannelError for the whole batch."""
+    that order, once for all receivers. Each scheme synthesizes, transmits
+    and strips the CP once on the (rows, N) arrays (``_fast_synthesis``, or
+    ``modulate`` for RPSDM at non-power-of-two N), and takes the unitary
+    spectrum of the received blocks and its effective channel once. Each
+    per-bin receiver equalizes that spectrum; MMSE at non-power-of-two N
+    demodulates and solves blocks. Returns, per receiver, each row's (bit
+    errors, summed squared symbol error), or None where a ZF row hit an
+    exact zero and that receiver's equalizer raised SingularChannelError
+    for the whole batch."""
     n = receivers[0][0].n
     bits_per = constellation.bits_per_symbol
     frame = n + l - 1
@@ -377,14 +397,17 @@ def _ber_trial(receivers, constellation, l: int, sigma2: np.ndarray,
     results = []
     for plan, detector in receivers:
         if plan.scheme not in received:
-            x = modulate(plan, symbols)
-            frames = transmit(add_cp(x, l), ch, noise)
-            received[plan.scheme] = (demodulate(plan, remove_cp(frames, l)),
+            synthesis = _fast_synthesis(plan.scheme, n) or (lambda s: modulate(plan, s))
+            block = remove_cp(transmit(add_cp(synthesis(symbols), l), ch, noise), l)
+            received[plan.scheme] = (block, np.fft.fft(block, norm="ortho"),
                                      effective_channel(plan.scheme, ch, plan.transform))
-        demod, eff = received[plan.scheme]
+        block, spectrum, eff = received[plan.scheme]
         spec = DetectorSpec.zf() if detector is Detector.ZF else DetectorSpec.mmse(sigma2)
         try:
-            estimates = equalize(spec, eff, demod)
+            if per_bin(detector, eff):
+                estimates = equalize_spectrum(spec, eff, spectrum)
+            else:
+                estimates = equalize(spec, eff, demodulate(plan, block))
         except SingularChannelError:
             results.append(None)
             continue

@@ -1,14 +1,17 @@
 """Block modulation and demodulation for the two schemes, plus flop accounting.
 
-The modem is the dense matrix route at unit total-power scaling: OFDM's
-unitary DFT matrices, and RPSDM's real matrices meeting complex symbols as
-one real gemm on the (n, 2) float view of the vector. A (rows, N) batch is
-a stack of those products, one per row, so each row's bytes equal its own
-1-D call. ``sparse_irpt`` and
-``synthesize_by_subspaces`` are test oracles that the dense route must
-agree with; ``sparse_irpt`` also carries the sparse op count.
-``haar_synthesis`` is RPSDM's synthesis at power-of-two N with no N x N
-matrix: an O(N) butterfly that the CCDF engine runs on (rows, N) batches.
+``modulate`` and ``demodulate`` are the dense matrix route at unit
+total-power scaling: OFDM's unitary DFT matrices, and RPSDM's real matrices
+meeting complex symbols as one real gemm on the (n, 2) float view of the
+vector. A (rows, N) batch is a stack of those products, one per row, so each
+row's bytes equal its own 1-D call. A plan builds OFDM's DFT matrix only
+when ``forward`` or ``inverse`` is first read; the engines never read it.
+``sparse_irpt`` and ``synthesize_by_subspaces`` are test oracles that the
+dense route must agree with; ``sparse_irpt`` also carries the sparse op
+count. At power-of-two N, RPSDM needs no N x N matrix: ``haar_synthesis``
+(``forward @ s``) and ``haar_analysis`` (``e_r @ v``) are an O(N) butterfly
+and its transpose, run row by row on (rows, N) batches by both engines and
+by the per-bin equalizer.
 
 Flop counters reproduce the published closed forms under one fixed costing:
 a complex*complex multiply is 4 real multiplies + 2 real adds, a complex add
@@ -20,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,27 +54,39 @@ def ofdm_synthesis_matrix(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModulatorPlan:
-    """Precomputed operators for one (scheme, block length) pair.
+    """Operators for one (scheme, block length) pair.
 
     The total block power is N, so symbols and samples share one scale and
-    the noise variance parameterizes SNR directly.
+    the noise variance parameterizes SNR directly. RPSDM's matrices are its
+    transform's; OFDM's DFT matrix is built on the first read of
+    ``forward`` or ``inverse`` and then kept.
     """
 
     scheme: Scheme
     n: int
-    forward: np.ndarray
-    inverse: np.ndarray
     transform: PeriodicTransform | None
+
+    @cached_property
+    def forward(self) -> np.ndarray:
+        """Synthesis matrix: symbols to time-domain block."""
+        if self.transform is None:
+            return ofdm_synthesis_matrix(self.n)
+        return self.transform.forward
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """Analysis matrix: time-domain block to symbols."""
+        if self.transform is None:
+            return self.forward.conj().T
+        return self.transform.e_r
 
 
 def make_plan(scheme: Scheme, n: int) -> ModulatorPlan:
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
     if scheme is Scheme.OFDM:
-        forward = ofdm_synthesis_matrix(n)
-        return ModulatorPlan(scheme, n, forward, forward.conj().T, None)
-    transform = build_transform(n)
-    return ModulatorPlan(scheme, n, transform.forward, transform.e_r, transform)
+        return ModulatorPlan(scheme, n, None)
+    return ModulatorPlan(scheme, n, build_transform(n))
 
 
 def _real_matvec(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -120,6 +136,34 @@ def synthesize_by_subspaces(transform: PeriodicTransform, symbols: np.ndarray) -
     return x
 
 
+def _haar_weights(n: int) -> np.ndarray:
+    """The column weights of ``forward`` at N = 2^k, one per symbol: 1/sqrt(N)
+    for q = 1, and c_2h's value h times q_norm = sqrt(h/N) on [h, 2h)."""
+    if not is_power_of_two(n):
+        raise ValueError(f"Haar butterfly requires a power-of-two length, got {n}")
+    weights = np.empty(n)
+    weights[0] = 1.0 / np.sqrt(n)
+    h = 1
+    while h < n:
+        weights[h:2 * h] = h * (1.0 / np.sqrt(n * h))
+        h *= 2
+    return weights
+
+
+def _butterfly(x: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """For h = 1, 2, ..., N/2 in turn (the reverse order if ``reverse``),
+    replace the first 2h entries of x's last axis, [a, b] with a = x[:h] and
+    b = x[h:2h], by [a + b, a - b]; in place, 2h adds per stage."""
+    spans = [1 << i for i in range(x.shape[-1].bit_length() - 1)]
+    spare = np.empty_like(x[..., :x.shape[-1] // 2])
+    for h in reversed(spans) if reverse else spans:
+        head, tail, diff = x[..., :h], x[..., h:2 * h], spare[..., :h]
+        np.subtract(head, tail, out=diff)
+        head += tail
+        tail[...] = diff
+    return x
+
+
 def haar_synthesis(symbols: np.ndarray) -> np.ndarray:
     """``forward @ s`` at power-of-two N for one length-N vector or each row
     of a (rows, N) batch, with no N x N basis: N scalings and 2(N-1) adds.
@@ -132,24 +176,20 @@ def haar_synthesis(symbols: np.ndarray) -> np.ndarray:
     bit for bit, so each product equals the dense route's; only the order
     of the adds differs."""
     symbols = np.asarray(symbols)
-    n = symbols.shape[-1]
-    if not is_power_of_two(n):
-        raise ValueError(f"Haar synthesis requires a power-of-two length, got {n}")
-    weights = np.empty(n)
-    weights[0] = 1.0 / np.sqrt(n)
-    h = 1
-    while h < n:
-        weights[h:2 * h] = h * (1.0 / np.sqrt(n * h))  # c_2h's value h times q_norm
-        h *= 2
-    x = symbols * weights
-    spare = np.empty_like(x[..., :n // 2])
-    h = 1
-    while h < n:
-        head, tail, diff = x[..., :h], x[..., h:2 * h], spare[..., :h]
-        np.subtract(head, tail, out=diff)
-        head += tail
-        tail[...] = diff
-        h *= 2
+    return _butterfly(symbols * _haar_weights(symbols.shape[-1]))
+
+
+def haar_analysis(block: np.ndarray) -> np.ndarray:
+    """``e_r @ v`` at power-of-two N for one length-N vector or each row of a
+    (rows, N) batch: N scalings and 2(N-1) adds. There e_r = forward^T, and
+    ``haar_synthesis`` is a diagonal scaling followed by symmetric butterfly
+    stages, so this runs the stages in reverse order and scales last. Real
+    input gives a real result."""
+    block = np.asarray(block)
+    weights = _haar_weights(block.shape[-1])
+    # astype copies, so the in-place stages leave the caller's block alone
+    x = _butterfly(block.astype(np.result_type(block.dtype, np.float64)), reverse=True)
+    x *= weights
     return x
 
 

@@ -6,7 +6,8 @@ import pytest
 from rpsdm.channel import (ChannelRealization, EffectiveChannel, add_cp, awgn, circulant_matrix,
                            draw_channel, effective_channel, remove_cp, transmit)
 from rpsdm.detection import (Detector, DetectorSpec, QamConstellation,
-                             SingularChannelError, equalize, qam_demap, qam_map)
+                             SingularChannelError, equalize, equalize_spectrum, per_bin,
+                             qam_demap, qam_map)
 from rpsdm.metrics import complexity_report
 from rpsdm.number_theory import divisor_set
 from rpsdm.ramanujan import build_transform
@@ -116,6 +117,26 @@ class TestPerBinEqualizer:
                 oracle = dense_solve(spec, dense, y)
                 error = np.abs(equalize(spec, eff, y) - oracle).max() / np.abs(oracle).max()
                 assert error <= 1e-10, (n, l, spec, error)
+
+    @pytest.mark.parametrize("scheme", [Scheme.OFDM, Scheme.RPSDM])
+    @pytest.mark.parametrize("n", [1, 2, 12, 96, 128])
+    def test_spectrum_route_matches_the_demodulated_route(self, scheme, n):
+        # the frame's unitary spectrum stands in for the demodulated block,
+        # since forward @ e_r = I; MMSE at non-power-of-two N has no such route
+        plan = make_plan(scheme, n)
+        rng = np.random.default_rng(3100 + n)
+        r = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        taps = draw_channel(rng, min(4, n), n).taps
+        eff = effective_channel(scheme, ChannelRealization(taps=np.tile(taps, (3, 1)), n=n),
+                                plan.transform)
+        for spec in (DetectorSpec.zf(), DetectorSpec.mmse(np.array([1e-3, 0.1, 1.0]))):
+            if not per_bin(spec.kind, eff):
+                with pytest.raises(ValueError, match="use equalize"):
+                    equalize_spectrum(spec, eff, np.fft.fft(r, norm="ortho"))
+                continue
+            oracle = equalize(spec, eff, demodulate(plan, r))
+            got = equalize_spectrum(spec, eff, np.fft.fft(r, norm="ortho"))
+            assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_rejects_integer_basis(self):
         # the raw (e_t^T, e_t) blocks are not A_q^{-1} diag(H_q) A_q

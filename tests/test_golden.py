@@ -48,6 +48,18 @@ RUNS = {
     "ber-both-zf": ["ber", "--n", "24", "--l", "5", "--m", "4", "--snr", "0:30:10",
                     "--trials", "40", "--seed", "23", "--scheme", "both",
                     "--detector", "zf", "--output", "ber.csv"],
+    # OFDM alone with MMSE at a large power-of-two N
+    "ber-n256-ofdm-mmse": ["ber", "--n", "256", "--l", "16", "--m", "16", "--snr", "0:30:10",
+                           "--trials", "8", "--seed", "43", "--scheme", "ofdm",
+                           "--detector", "mmse", "--output", "ber.csv"],
+    # a channel as long as the block: the cyclic prefix is N - 1 samples
+    "ber-n64-l64": ["ber", "--n", "64", "--l", "64", "--m", "16", "--snr", "0:30:10",
+                    "--trials", "10", "--seed", "47", "--scheme", "both",
+                    "--detector", "both", "--output", "ber.csv"],
+    # the shortest block with a butterfly stage, at the densest constellation
+    "ber-n2-qam64": ["ber", "--n", "2", "--l", "2", "--m", "64", "--snr", "0:30:5",
+                     "--trials", "60", "--seed", "53", "--scheme", "both",
+                     "--detector", "both", "--output", "ber.csv"],
     "papr-ccdf": ["papr-ccdf", "--n", "64,128", "--m", "16", "--trials", "2000",
                   "--seed", "1", "--thresholds", "0:14:0.25", "--output", "ccdf.csv"],
     # one draw per block serves every curve of a job: a descending N list
@@ -89,6 +101,14 @@ GOLDEN = {
         'stdout': '3389fd40107aa81378ea840c609c13e1c42003980671d5a8bd77dfd593aa5be0',
         'ber.csv': 'f1b8c411d8de67682af37ea2c0ec8e7eaab17561039249a10ef644170619fb80',
     },
+    'ber-n256-ofdm-mmse': {
+        'stdout': 'c0c67b3d35718bd6fc56ddf750031f1bc8137705ecc7325faa10fca442472f1d',
+        'ber.csv': 'c42f0e783a37cc07cd6b7dbb279643e1c0aa9a6eccdea77964c09905b7c4cc93',
+    },
+    'ber-n2-qam64': {
+        'stdout': 'd6c48a4ff337a9757f96b1f77e9a875de3a4902fd20032675b41186830bb5432',
+        'ber.csv': '19b3b589322befbc6d1a1de2764a760ec064892c0938523de059639e0661f3d0',
+    },
     'ber-n24-chunks': {
         'stdout': '16213ea758507b95bebc653a112ed3c43d6e8c612c3db5017a50abec39997d30',
         'ber.csv': 'e5e4b4fedccd7f8c5bdf04897f436b41e605ff37cf671bfeb365e5dfc1d95a41',
@@ -96,6 +116,10 @@ GOLDEN = {
     'ber-n512': {
         'stdout': 'eb9199ea55e92c23a09601fb6df0a7771fdcdc62903c7aff71abeb5e04d87ab7',
         'ber.csv': '3f4f01dd1e86f8ffd3191e703b3d1d7476337bb7edbc70512c968fc5d57b7b39',
+    },
+    'ber-n64-l64': {
+        'stdout': 'c954e9a3c35315187733e36cc94bde5d8f3743c3961b8e2f8836115d609e955c',
+        'ber.csv': 'c7a0692032a33366211750e0af92104b395173075ca75b74275e27d9d190c366',
     },
     'ber-n96-json': {
         'stdout': 'c815f0b6fc02c81e153346b4c0db54af46250cc93ab0622d0e5c4bbda54e1fdf',

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import rpsdm.detection
 import rpsdm.metrics
+import rpsdm.transforms
 from rpsdm.channel import (ChannelRealization, add_cp, awgn, effective_channel, remove_cp,
                            transmit)
 from rpsdm.detection import (Detector, DetectorSpec, QamConstellation, SingularChannelError,
@@ -331,6 +333,23 @@ class TestBerEngine:
             for attr in ("values", "ci_low", "ci_high", "squared_error"):
                 assert getattr(curve, attr).tobytes() == getattr(alone, attr).tobytes()
             assert curve.metadata == alone.metadata
+
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_power_of_two_lengths_run_no_dense_product(self, monkeypatch, n):
+        # OFDM's ffts and RPSDM's butterflies need no N x N matrix; only the
+        # RPSDM plan builds (and checks) its transform
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+            return call
+        for module, name in ((rpsdm.transforms, "ofdm_synthesis_matrix"),
+                             (rpsdm.metrics, "modulate"), (rpsdm.metrics, "demodulate"),
+                             (rpsdm.detection, "_real_matvec")):
+            monkeypatch.setattr(module, name, refuse(name))
+        grid = np.array([0.0, 20.0])
+        curves = ber_curves(SCHEMES, DETECTORS, n, 4, QAM16, grid, trials=5, seed=33)
+        assert [(c.scheme, c.detector) for c in curves] == [
+            (s, d) for s in SCHEMES for d in DETECTORS]
 
     def test_one_plan_per_scheme_and_one_draw_per_row(self, monkeypatch):
         calls = {"make_plan": 0, "draw_channel": 0}

@@ -8,8 +8,10 @@ import pytest
 from rpsdm.detection import QamConstellation
 from rpsdm.number_theory import divisor_set
 from rpsdm.ramanujan import build_transform, subspace_basis
-from rpsdm.transforms import (Scheme, demodulate, direct_flops, fast_flops, haar_synthesis,
-                              make_plan, modulate, sparse_irpt, synthesize_by_subspaces)
+import rpsdm.transforms
+from rpsdm.transforms import (Scheme, demodulate, direct_flops, fast_flops, haar_analysis,
+                              haar_synthesis, make_plan, modulate, sparse_irpt,
+                              synthesize_by_subspaces)
 
 
 def random_symbols(n: int, seed: int) -> np.ndarray:
@@ -188,6 +190,65 @@ class TestHaarSynthesis:
     def test_rejects_non_power_of_two(self, n):
         with pytest.raises(ValueError, match="power-of-two"):
             haar_synthesis(np.ones(n, dtype=complex))
+
+
+class TestHaarAnalysis:
+    """The transpose butterfly against the dense product ``e_r @ v``."""
+
+    @pytest.mark.parametrize("n", [2 ** k for k in range(12)])
+    def test_matches_dense_product(self, n):
+        e_r = build_transform(n).e_r
+        for trial in range(3):
+            v = random_symbols(n, 93 * n + trial)
+            got = haar_analysis(v)
+            assert got.dtype == np.complex128
+            assert max_relative_error(got, e_r @ v) <= 1e-13
+            real = v.real.copy()
+            got = haar_analysis(real)
+            assert got.dtype == np.float64
+            assert max_relative_error(got, e_r @ real) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 8, 256])
+    def test_batch_rows_equal_one_dimensional_calls(self, n):
+        batch = np.stack([random_symbols(n, 700 * n + r) for r in range(4)])
+        got = haar_analysis(batch)
+        assert got.shape == batch.shape
+        assert got.tobytes() == np.stack([haar_analysis(row) for row in batch]).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 2048])
+    def test_inverts_the_synthesis(self, n):
+        s = random_symbols(n, 800 + n)
+        assert max_relative_error(haar_analysis(haar_synthesis(s)), s) <= 1e-13
+
+    def test_leaves_its_input_alone(self):
+        v = random_symbols(16, 5)
+        before = v.copy()
+        haar_analysis(v)
+        assert v.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 6, 12, 96])
+    def test_rejects_non_power_of_two(self, n):
+        with pytest.raises(ValueError, match="power-of-two"):
+            haar_analysis(np.ones(n, dtype=complex))
+
+
+class TestPlan:
+    def test_ofdm_matrix_is_built_on_first_read_and_kept(self, monkeypatch):
+        real = rpsdm.transforms.ofdm_synthesis_matrix
+        calls = []
+        monkeypatch.setattr(rpsdm.transforms, "ofdm_synthesis_matrix",
+                            lambda n: calls.append(n) or real(n))
+        plan = make_plan(Scheme.OFDM, 8)
+        assert calls == []
+        assert plan.inverse is plan.inverse
+        assert plan.forward is plan.forward
+        assert calls == [8]
+        assert np.array_equal(plan.inverse, real(8).conj().T)
+
+    def test_rpsdm_matrices_are_the_transform_pair(self):
+        plan = make_plan(Scheme.RPSDM, 12)
+        assert plan.forward is plan.transform.forward
+        assert plan.inverse is plan.transform.e_r
 
 
 class TestPowerScale:
