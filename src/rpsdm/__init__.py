@@ -13,7 +13,7 @@ from .channel import (ChannelRealization, EffectiveChannel, add_cp, awgn,
                       is_skew_circulant, is_stair_block_diagonal, is_toeplitz,
                       remove_cp, structure_report, transmit)
 from .detection import (Detector, DetectorSpec, QamConstellation, SingularChannelError,
-                        equalize, equalize_spectrum, qam_demap, qam_map)
+                        equalize, qam_demap, qam_map)
 from .metrics import (ComplexityRow, CurveResult, ber_curve, ber_curves, ccdf_crossing,
                       complexity_report, gamma_coefficient, papr, papr_ccdf, papr_ccdfs,
                       papr_db, worst_case_papr)
@@ -28,7 +28,7 @@ __all__ = [
     "build_transform", "ccdf_crossing", "circulant_from_column",
     "circulant_integer_matrix", "circulant_matrix", "complexity_report", "demodulate",
     "dft_support", "direct_flops", "divisor_count", "divisor_set", "draw_channel",
-    "effective_channel", "equalize", "equalize_spectrum", "fast_flops", "gamma_coefficient", "gcd",
+    "effective_channel", "equalize", "fast_flops", "gamma_coefficient", "gcd",
     "is_skew_circulant", "is_stair_block_diagonal", "is_toeplitz", "make_plan",
     "mobius", "modulate", "papr", "papr_ccdf", "papr_ccdfs", "papr_db", "qam_demap", "qam_map",
     "ramanujan_sum", "remove_cp", "sparse_irpt", "structure_report", "subspace_basis",

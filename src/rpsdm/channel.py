@@ -62,8 +62,7 @@ class ChannelRealization:
 
 
 def draw_channel(rng, l: int, n: int) -> ChannelRealization:
-    """Draw L iid CN(0,1) taps (real/imag parts each variance 1/2): one
-    draw of 2L normals, the L real parts first.
+    """Draw L iid CN(0,1) taps (real/imag parts each variance 1/2).
 
     ``rng`` is a numpy Generator or an integer seed; fixed seed gives
     identical taps on repeated calls.
@@ -71,8 +70,7 @@ def draw_channel(rng, l: int, n: int) -> ChannelRealization:
     if not 1 <= l <= n:
         raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
     rng = np.random.default_rng(rng)
-    parts = rng.standard_normal(2 * l)
-    taps = (parts[:l] + 1j * parts[l:]) / np.sqrt(2.0)
+    taps = (rng.standard_normal(l) + 1j * rng.standard_normal(l)) / np.sqrt(2.0)
     return ChannelRealization(taps=taps, n=n)
 
 

@@ -12,10 +12,10 @@ unitary spectrum Y of the received time-domain block r (CP removed),
 Y = fft(r, norm="ortho"): OFDM's estimate is W * Y, RPSDM's is
 e_r @ ifft(W * Y, norm="ortho"), with ``haar_analysis`` as e_r at
 power-of-two N. ``equalize`` takes the demodulated block y instead, which
-is OFDM's Y itself; for RPSDM it rebuilds r = forward @ y first (by
-``haar_synthesis`` at power-of-two N). Only MMSE at other N solves the
-regularized normal equations block by block on y. Every channel is given by
-its gains on the normalized basis. Bit labels use Gray coding per axis;
+is OFDM's Y itself; for RPSDM it rebuilds r = forward @ y first. Only
+MMSE at other N solves the regularized normal equations block by block on
+y. Every channel is given by its gains on the normalized basis. Bit labels
+use Gray coding per axis;
 ``qam_map`` and ``qam_demap`` work on symbols normalized to unit average
 energy, so sigma^2 parameterizes both the SNR and the MMSE regularizer.
 ``equalize``, ``equalize_spectrum``, ``qam_map`` and ``qam_demap`` also take
@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import EffectiveChannel
-from .transforms import Scheme, _real_matvec, haar_analysis, haar_synthesis
+from .transforms import Scheme, _real_matvec, haar_analysis
 
 
 class Detector(enum.Enum):
@@ -144,11 +144,9 @@ def equalize(spec: DetectorSpec, eff: EffectiveChannel, y: np.ndarray) -> np.nda
     _check_normalized(eff)
     y = np.asarray(y)
     _check_shape(eff, y)
-    t = eff.transform
     if per_bin(spec.kind, eff):
         if eff.scheme is Scheme.RPSDM:  # OFDM's y is already the spectrum
-            r = haar_synthesis(y) if t.transpose_path else _real_matvec(t.forward, y)
-            y = np.fft.fft(r, norm="ortho")
+            y = np.fft.fft(_real_matvec(eff.transform.forward, y), norm="ortho")
         return equalize_spectrum(spec, eff, y)
     # MMSE at non-power-of-two N: A_q^H A_q != N I, so solve each block
     zeta = _row_zeta(spec)

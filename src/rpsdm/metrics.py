@@ -372,10 +372,10 @@ def _ber_trial(receivers, constellation, l: int, sigma2: np.ndarray,
     detector)`` receiver. Each row's stream draws its taps, bits and AWGN in
     that order, once for all receivers. Each scheme synthesizes, transmits
     and strips the CP once on the (rows, N) arrays (``_fast_synthesis``, or
-    ``modulate`` for RPSDM at non-power-of-two N), and takes the unitary
-    spectrum of the received blocks and its effective channel once. Each
-    per-bin receiver equalizes that spectrum; MMSE at non-power-of-two N
-    demodulates and solves blocks. Returns, per receiver, each row's (bit
+    ``modulate`` for RPSDM at non-power-of-two N) and builds its effective
+    channel once. Its per-bin receivers equalize the unitary spectrum of the
+    received blocks, taken at the first one's need; MMSE at non-power-of-two
+    N demodulates and solves blocks. Returns, per receiver, each row's (bit
     errors, summed squared symbol error), or None where a ZF row hit an
     exact zero and that receiver's equalizer raised SingularChannelError
     for the whole batch."""
@@ -394,18 +394,20 @@ def _ber_trial(receivers, constellation, l: int, sigma2: np.ndarray,
     ch = ChannelRealization(taps=taps, n=n)
     symbols = qam_map(bits, constellation)
     received = {}
+    spectra = {}
     results = []
     for plan, detector in receivers:
         if plan.scheme not in received:
             synthesis = _fast_synthesis(plan.scheme, n) or (lambda s: modulate(plan, s))
             block = remove_cp(transmit(add_cp(synthesis(symbols), l), ch, noise), l)
-            received[plan.scheme] = (block, np.fft.fft(block, norm="ortho"),
-                                     effective_channel(plan.scheme, ch, plan.transform))
-        block, spectrum, eff = received[plan.scheme]
+            received[plan.scheme] = (block, effective_channel(plan.scheme, ch, plan.transform))
+        block, eff = received[plan.scheme]
         spec = DetectorSpec.zf() if detector is Detector.ZF else DetectorSpec.mmse(sigma2)
         try:
             if per_bin(detector, eff):
-                estimates = equalize_spectrum(spec, eff, spectrum)
+                if plan.scheme not in spectra:
+                    spectra[plan.scheme] = np.fft.fft(block, norm="ortho")
+                estimates = equalize_spectrum(spec, eff, spectra[plan.scheme])
             else:
                 estimates = equalize(spec, eff, demodulate(plan, block))
         except SingularChannelError:

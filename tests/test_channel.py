@@ -33,18 +33,6 @@ class TestDrawChannel:
         b = draw_channel(42, 4, 8)
         np.testing.assert_array_equal(a.taps, b.taps)
 
-    @pytest.mark.parametrize("l", [1, 3, 8, 64])
-    def test_one_draw_equals_two_draws(self, l):
-        # taps from one standard_normal(2l), real parts first, are the bytes
-        # of two standard_normal(l) calls, and leave the stream where those do
-        for key in range(25):
-            rng, twin = (np.random.default_rng([key, l, 0, 0]) for _ in range(2))
-            taps = draw_channel(rng, l, 64).taps
-            expected = (twin.standard_normal(l) + 1j * twin.standard_normal(l)) / np.sqrt(2.0)
-            assert taps.tobytes() == expected.tobytes()
-            assert rng.integers(0, 2, 32).tobytes() == twin.integers(0, 2, 32).tobytes()
-            assert rng.standard_normal(8).tobytes() == twin.standard_normal(8).tobytes()
-
     def test_rejects_bad_path_count(self):
         with pytest.raises(ValueError):
             draw_channel(0, 9, 8)
