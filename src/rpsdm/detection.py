@@ -4,23 +4,24 @@ The equalizer applies (H^H H + zeta I)^{-1} H^H with zeta = 0 (ZF) or
 zeta = sigma^2 (MMSE): per frequency bin for the diagonal scheme, per
 divisor block for the subspace scheme. Subspace q lives on the DFT bins
 supp(q), so an RPSDM block is A_q^{-1} diag(H_q) A_q with A_q the fixed map
-F[supp q] @ forward[:, block q]. ZF (any N) and MMSE with A_q^H A_q = N I
-(exactly when N is a power of two) therefore reduce to OFDM's per-bin
-weights W = H* / (|H|^2 + zeta) between fixed maps, with no block matrix
-formed (``per_bin``). That per-bin core, ``equalize_spectrum``, takes the
-unitary spectrum Y of the received time-domain block r (CP removed),
-Y = fft(r, norm="ortho"): OFDM's estimate is W * Y, RPSDM's is
+F[supp q] @ forward[:, block q]. One core, ``equalize_spectrum``, serves
+every scheme, detector and N from the unitary spectrum Y of the received
+time-domain block r (CP removed), Y = fft(r, norm="ortho"). ZF (any N) and
+MMSE with A_q^H A_q = N I (exactly when N is a power of two) reduce to
+OFDM's per-bin weights W = H* / (|H|^2 + zeta) between fixed maps, with no
+block matrix formed: OFDM's estimate is W * Y, RPSDM's is
 e_r @ ifft(W * Y, norm="ortho"), with ``haar_analysis`` as e_r at
-power-of-two N. ``equalize`` takes the demodulated block y instead, which
-is OFDM's Y itself; for RPSDM it rebuilds r = forward @ y first. Only
-MMSE at other N solves the regularized normal equations block by block on
-y. Every channel is given by its gains on the normalized basis. Bit labels
-use Gray coding per axis;
-``qam_map`` and ``qam_demap`` work on symbols normalized to unit average
-energy, so sigma^2 parameterizes both the SNR and the MMSE regularizer.
-``equalize``, ``equalize_spectrum``, ``qam_map`` and ``qam_demap`` also take
-a batch with rows first (the BER engine's (rows, N) arrays, with one zeta
-per row), giving each row the bytes of its own call. A ZF batch with an
+power-of-two N. MMSE at other N solves each block's regularized normal
+equations on sqrt(N) * Y[supp q] = A_q y_q (``_block_mmse``), forming no
+block of the channel. ``equalize`` takes the demodulated block y instead,
+which is OFDM's Y itself; for RPSDM it rebuilds r = forward @ y and takes
+its spectrum. Every channel is given by its gains on the normalized basis.
+Bit labels use Gray coding per axis; ``qam_map`` and ``qam_demap`` work on
+symbols normalized to unit average energy, so sigma^2 parameterizes both
+the SNR and the MMSE regularizer. ``equalize``, ``equalize_spectrum``,
+``qam_map`` and ``qam_demap`` also take a batch with rows first (the BER
+engine's (rows, N) arrays, with one zeta per row), giving each row the
+bytes of its own call. A ZF batch with an
 exactly singular row raises one SingularChannelError for the whole batch; a
 caller that needs the other rows' estimates reruns the rows one at a time.
 """
@@ -95,12 +96,6 @@ def _zero_gain_error(scheme: Scheme, zero: np.ndarray) -> SingularChannelError:
                                 where=f"q={q}")
 
 
-def per_bin(kind: Detector, eff: EffectiveChannel) -> bool:
-    """Whether the ``kind`` receiver equalizes ``eff`` bin by bin (OFDM; ZF
-    at every N; MMSE at power-of-two N) rather than by block solves."""
-    return eff.scheme is Scheme.OFDM or kind is Detector.ZF or eff.transform.transpose_path
-
-
 def _check_normalized(eff: EffectiveChannel) -> None:
     if eff.basis != "normalized":
         raise ValueError(f"equalize needs the normalized basis, got {eff.basis!r}")
@@ -119,16 +114,17 @@ def _row_zeta(spec: DetectorSpec):
 
 def equalize_spectrum(spec: DetectorSpec, eff: EffectiveChannel,
                       spectrum: np.ndarray) -> np.ndarray:
-    """Symbol estimates of a per-bin receiver (see ``per_bin``) from the
-    unitary spectrum fft(r, norm="ortho") of the received block r, or of each
-    row of a batch. Every row gets the bytes of its own 1-D call."""
+    """Symbol estimates from the unitary spectrum fft(r, norm="ortho") of the
+    received block r, or of each row of a batch. Every row gets the bytes of
+    its own 1-D call."""
     _check_normalized(eff)
-    if not per_bin(spec.kind, eff):
-        raise ValueError("MMSE at a non-power-of-two N solves blocks: use equalize")
     spectrum = np.asarray(spectrum)
     _check_shape(eff, spectrum)
     gains, t = eff.gains, eff.transform
-    denom = np.abs(gains) ** 2 + _row_zeta(spec)
+    zeta = _row_zeta(spec)
+    if eff.scheme is Scheme.RPSDM and spec.kind is Detector.MMSE and not t.transpose_path:
+        return _block_mmse(eff, np.sqrt(eff.n) * spectrum, zeta)
+    denom = np.abs(gains) ** 2 + zeta
     if not denom.all():  # only ZF (zeta = 0) can hit a zero
         raise _zero_gain_error(eff.scheme, denom == 0.0)
     if eff.scheme is Scheme.OFDM:
@@ -137,33 +133,40 @@ def equalize_spectrum(spec: DetectorSpec, eff: EffectiveChannel,
     return haar_analysis(block) if t.transpose_path else _real_matvec(t.e_r, block)
 
 
-def equalize(spec: DetectorSpec, eff: EffectiveChannel, y: np.ndarray) -> np.ndarray:
-    """Recover symbol estimates from the demodulated block y, or from each
-    row of y through the matching channel of a batch (zeta scalar or per
-    row). Every row gets the bytes of its own 1-D call."""
-    _check_normalized(eff)
-    y = np.asarray(y)
-    _check_shape(eff, y)
-    if per_bin(spec.kind, eff):
-        if eff.scheme is Scheme.RPSDM:  # OFDM's y is already the spectrum
-            y = np.fft.fft(_real_matvec(eff.transform.forward, y), norm="ortho")
-        return equalize_spectrum(spec, eff, y)
-    # MMSE at non-power-of-two N: A_q^H A_q != N I, so solve each block
-    zeta = _row_zeta(spec)
-    out = np.empty(y.shape, dtype=np.complex128)
+def _block_mmse(eff: EffectiveChannel, v: np.ndarray, zeta) -> np.ndarray:
+    """RPSDM-MMSE where A_q^H A_q != N I (non-power-of-two N), from the
+    unnormalized spectrum v = fft(r): block q sees v[supp q] = D A_q x_q plus
+    noise with D = diag(H[supp q]), so with G^{-1} = (A_q A_q^H)^{-1} it
+    solves (D* G^{-1} D + zeta G^{-1}) z = D* G^{-1} v[supp q] and returns
+    x_q = A_q^{-1} z, the block's regularized normal equations."""
+    out = np.empty(v.shape, dtype=np.complex128)
     if np.ndim(zeta):
-        zeta = zeta[..., None]  # one regularizer per row's phi x phi gram
-    for i, (q, phi, offset) in enumerate(eff.layout.blocks()):
-        h = eff.block(i)
-        h_adj = np.swapaxes(h.conj(), -1, -2)
-        rhs = h_adj @ y[..., offset:offset + phi, None]
-        gram = h_adj @ h + zeta * np.eye(phi)
-        try:  # a gram can be singular in floating point at an extreme SNR
-            out[..., offset:offset + phi] = np.linalg.solve(gram, rhs)[..., 0]
+        zeta = zeta[..., None]  # one regularizer per row's phi x phi system
+    for (q, phi, offset), m in zip(eff.layout.blocks(), eff.transform.subspace_maps):
+        g_inv = m.a_inv.conj().T @ m.a_inv
+        h = eff.gains[..., m.bins]
+        lhs = np.conj(h)[..., :, None] * g_inv * h[..., None, :] + zeta * g_inv
+        rhs = np.conj(h)[..., None] * (g_inv @ v[..., m.bins, None])
+        try:  # a system can be singular in floating point at an extreme SNR
+            z = np.linalg.solve(lhs, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularChannelError(f"singular block for divisor q={q} (size {phi})",
                                        where=f"q={q}") from exc
+        out[..., offset:offset + phi] = (m.a_inv @ z)[..., 0]
     return out
+
+
+def equalize(spec: DetectorSpec, eff: EffectiveChannel, y: np.ndarray) -> np.ndarray:
+    """Recover symbol estimates from the demodulated block y, or from each
+    row of y through the matching channel of a batch (zeta scalar or per
+    row): ``equalize_spectrum`` on the spectrum of r = forward @ y, the block
+    that demodulates to y (OFDM's y is that spectrum already). Every row gets
+    the bytes of its own 1-D call."""
+    y = np.asarray(y)
+    _check_shape(eff, y)
+    if eff.scheme is Scheme.RPSDM:
+        y = np.fft.fft(_real_matvec(eff.transform.forward, y), norm="ortho")
+    return equalize_spectrum(spec, eff, y)
 
 
 @dataclass(frozen=True)

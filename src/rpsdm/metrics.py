@@ -9,13 +9,13 @@ draws none itself), and each scheme synthesizes, transmits and strips the
 CP from them once. Synthesis is the one the CCDF engine uses
 (``_fast_synthesis``): OFDM's unitary ifft, RPSDM's O(N) Haar butterfly at
 power-of-two N, and ``modulate``'s row-exact product at other N. Each
-(scheme, detector) receiver then equalizes and demaps. A per-bin receiver
-(OFDM; RPSDM-ZF at every N; RPSDM-MMSE at power-of-two N) reads the unitary
-spectrum of the received block, shared per scheme, since ``forward @ e_r =
-I`` makes it the spectrum that ``equalize`` would rebuild from the
-demodulated block; only RPSDM-MMSE at other N demodulates and solves
-blocks. So at power-of-two N a trial runs no N x N product, and a job
-builds no N x N matrix beyond the RPSDM plan's checked transform.
+(scheme, detector) receiver then equalizes and demaps. Every receiver,
+RPSDM-MMSE's block solves at non-power-of-two N included, reads the unitary
+spectrum of the received block, shared per scheme, through
+``equalize_spectrum``; ``forward @ e_r = I`` makes it the spectrum that
+``equalize`` would rebuild from the demodulated block, so no receiver
+demodulates. At power-of-two N a trial therefore runs no N x N product, and
+a job builds no N x N matrix beyond the RPSDM plan's checked transform.
 Every stage runs once per chunk of rows on (rows, N) arrays, giving each row
 the bytes of its own 1-D call, so a curve does not depend on the chunk size,
 on which rows share a batch, or on which other receivers run beside it. A
@@ -48,11 +48,13 @@ import numpy as np
 from .channel import (ChannelRealization, add_cp, awgn, draw_channel, effective_channel,
                       remove_cp, transmit)
 from .detection import (Detector, DetectorSpec, QamConstellation, SingularChannelError,
-                        equalize, equalize_spectrum, per_bin, qam_demap, qam_map)
+                        equalize_spectrum, qam_demap, qam_map)
 from .number_theory import divisor_set, is_power_of_two, totient
 from .ramanujan import ramanujan_sum
-from .transforms import (Scheme, demodulate, direct_flops, fast_flops, haar_synthesis, make_plan,
-                         modulate)
+from .transforms import Scheme, direct_flops, fast_flops, haar_synthesis, make_plan, modulate
+# unused here: the benchmark tracer (bench/spans.py) looks both up in this module
+from .detection import equalize  # noqa: F401
+from .transforms import demodulate  # noqa: F401
 
 #: binomial 95% confidence half-width multiplier
 _CI_Z = 1.96
@@ -69,10 +71,9 @@ _MAX_RESAMPLES_PER_TRIAL = 1000
 
 def papr(x: np.ndarray) -> float:
     """Peak-to-average power ratio max|x|^2 / mean|x|^2 (linear)."""
-    x = np.asarray(x)
-    power = np.abs(x) ** 2
-    mean = power.mean()
-    if x.size == 0 or mean == 0.0:
+    power = np.abs(np.asarray(x)) ** 2
+    mean = power.mean() if power.size else 0.0
+    if mean == 0.0:
         raise ValueError("PAPR is undefined for an empty or all-zero block")
     return float(power.max() / mean)
 
@@ -373,12 +374,11 @@ def _ber_trial(receivers, constellation, l: int, sigma2: np.ndarray,
     that order, once for all receivers. Each scheme synthesizes, transmits
     and strips the CP once on the (rows, N) arrays (``_fast_synthesis``, or
     ``modulate`` for RPSDM at non-power-of-two N) and builds its effective
-    channel once. Its per-bin receivers equalize the unitary spectrum of the
-    received blocks, taken at the first one's need; MMSE at non-power-of-two
-    N demodulates and solves blocks. Returns, per receiver, each row's (bit
-    errors, summed squared symbol error), or None where a ZF row hit an
-    exact zero and that receiver's equalizer raised SingularChannelError
-    for the whole batch."""
+    channel and the unitary spectrum of the received blocks once; each
+    receiver makes one ``equalize_spectrum`` call on that spectrum. Returns,
+    per receiver, each row's (bit errors, summed squared symbol error), or
+    None where a ZF row hit an exact zero and that receiver's equalizer
+    raised SingularChannelError for the whole batch."""
     n = receivers[0][0].n
     bits_per = constellation.bits_per_symbol
     frame = n + l - 1
@@ -394,22 +394,17 @@ def _ber_trial(receivers, constellation, l: int, sigma2: np.ndarray,
     ch = ChannelRealization(taps=taps, n=n)
     symbols = qam_map(bits, constellation)
     received = {}
-    spectra = {}
     results = []
     for plan, detector in receivers:
         if plan.scheme not in received:
             synthesis = _fast_synthesis(plan.scheme, n) or (lambda s: modulate(plan, s))
             block = remove_cp(transmit(add_cp(synthesis(symbols), l), ch, noise), l)
-            received[plan.scheme] = (block, effective_channel(plan.scheme, ch, plan.transform))
-        block, eff = received[plan.scheme]
+            received[plan.scheme] = (np.fft.fft(block, norm="ortho"),
+                                     effective_channel(plan.scheme, ch, plan.transform))
+        spectrum, eff = received[plan.scheme]
         spec = DetectorSpec.zf() if detector is Detector.ZF else DetectorSpec.mmse(sigma2)
         try:
-            if per_bin(detector, eff):
-                if plan.scheme not in spectra:
-                    spectra[plan.scheme] = np.fft.fft(block, norm="ortho")
-                estimates = equalize_spectrum(spec, eff, spectra[plan.scheme])
-            else:
-                estimates = equalize(spec, eff, demodulate(plan, block))
+            estimates = equalize_spectrum(spec, eff, spectrum)
         except SingularChannelError:
             results.append(None)
             continue

@@ -6,8 +6,8 @@ import pytest
 from rpsdm.channel import (ChannelRealization, EffectiveChannel, add_cp, awgn, circulant_matrix,
                            draw_channel, effective_channel, remove_cp, transmit)
 from rpsdm.detection import (Detector, DetectorSpec, QamConstellation,
-                             SingularChannelError, equalize, equalize_spectrum, per_bin,
-                             qam_demap, qam_map)
+                             SingularChannelError, equalize, equalize_spectrum, qam_demap,
+                             qam_map)
 from rpsdm.metrics import complexity_report
 from rpsdm.number_theory import divisor_set
 from rpsdm.ramanujan import build_transform
@@ -100,10 +100,11 @@ def dense_solve(spec: DetectorSpec, dense: np.ndarray, y: np.ndarray) -> np.ndar
 
 
 class TestPerBinEqualizer:
-    """``equalize`` (per bin, or MMSE's per-block solve at non-power-of-two
-    N) against a full dense solve on the product e_r @ H_cir @ forward."""
+    """``equalize`` (per bin, or MMSE's per-block solve on the spectrum at
+    non-power-of-two N) against a full dense solve on the product
+    e_r @ H_cir @ forward."""
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 6, 12, 96, 128])
+    @pytest.mark.parametrize("n", [1, 2, 4, 6, 12, 30, 96, 128, 360])
     def test_matches_dense_block_solve(self, n):
         transform = build_transform(n)
         rng = np.random.default_rng(2024 + n)
@@ -122,7 +123,7 @@ class TestPerBinEqualizer:
     @pytest.mark.parametrize("n", [1, 2, 12, 96, 128])
     def test_spectrum_route_matches_the_demodulated_route(self, scheme, n):
         # the frame's unitary spectrum stands in for the demodulated block,
-        # since forward @ e_r = I; MMSE at non-power-of-two N has no such route
+        # since forward @ e_r = I, for every detector at every N
         plan = make_plan(scheme, n)
         rng = np.random.default_rng(3100 + n)
         r = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
@@ -130,10 +131,6 @@ class TestPerBinEqualizer:
         eff = effective_channel(scheme, ChannelRealization(taps=np.tile(taps, (3, 1)), n=n),
                                 plan.transform)
         for spec in (DetectorSpec.zf(), DetectorSpec.mmse(np.array([1e-3, 0.1, 1.0]))):
-            if not per_bin(spec.kind, eff):
-                with pytest.raises(ValueError, match="use equalize"):
-                    equalize_spectrum(spec, eff, np.fft.fft(r, norm="ortho"))
-                continue
             oracle = equalize(spec, eff, demodulate(plan, r))
             got = equalize_spectrum(spec, eff, np.fft.fft(r, norm="ortho"))
             assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
@@ -188,7 +185,8 @@ class TestPerBinEqualizer:
     def test_batch_rows_equal_one_dimensional_calls(self, scheme, n):
         # effective_channel, equalize (ZF, MMSE with one zeta per row or one
         # for all) and qam_demap on a (rows, N) batch are byte for byte the
-        # stack of their rows' own calls; N = 12 and 96 take MMSE's per-block solve
+        # stack of their rows' own calls; at N = 12 and 96 MMSE solves blocks on
+        # the spectrum
         transform = build_transform(n) if scheme is Scheme.RPSDM else None
         rng = np.random.default_rng(500 + n)
         l = min(5, n)

@@ -38,7 +38,7 @@ RUNS = {
                        "--trials", "100", "--seed", "13", "--scheme", "both",
                        "--detector", "both", "--output", "ber.csv"],
     # receiver subsets: the engine must emit curves for any of them; N=96
-    # MMSE takes the stacked per-block solve
+    # MMSE solves its blocks on the frame spectrum
     "ber-n96-rpsdm-mmse": ["ber", "--n", "96", "--l", "8", "--m", "16", "--snr", "0:30:10",
                            "--trials", "10", "--seed", "17", "--scheme", "rpsdm",
                            "--detector", "mmse", "--output", "ber.csv"],
@@ -60,6 +60,14 @@ RUNS = {
     "ber-n2-qam64": ["ber", "--n", "2", "--l", "2", "--m", "64", "--snr", "0:30:5",
                      "--trials", "60", "--seed", "53", "--scheme", "both",
                      "--detector", "both", "--output", "ber.csv"],
+    # MMSE block solves up to a phi = 96 block (divisor 360 gives phi(360) = 96)
+    "ber-n360-rpsdm-mmse": ["ber", "--n", "360", "--l", "16", "--m", "16", "--snr", "0:30:10",
+                            "--trials", "5", "--seed", "53", "--scheme", "rpsdm",
+                            "--detector", "mmse", "--output", "ber.csv"],
+    # extreme regularizers: zeta = 100 at -20 dB and zeta = 1e-30 at 300 dB
+    "ber-n30-extreme-snr": ["ber", "--n", "30", "--l", "7", "--m", "16", "--snr=-20,0,300",
+                            "--trials", "40", "--seed", "59", "--scheme", "both",
+                            "--detector", "both", "--output", "ber.csv"],
     "papr-ccdf": ["papr-ccdf", "--n", "64,128", "--m", "16", "--trials", "2000",
                   "--seed", "1", "--thresholds", "0:14:0.25", "--output", "ccdf.csv"],
     # one draw per block serves every curve of a job: a descending N list
@@ -112,6 +120,14 @@ GOLDEN = {
     'ber-n24-chunks': {
         'stdout': '16213ea758507b95bebc653a112ed3c43d6e8c612c3db5017a50abec39997d30',
         'ber.csv': 'e5e4b4fedccd7f8c5bdf04897f436b41e605ff37cf671bfeb365e5dfc1d95a41',
+    },
+    'ber-n30-extreme-snr': {
+        'stdout': '4cd3685aa44c39a1fb9c5092bcfe9fda433d8536135535b899acbcadb943eea9',
+        'ber.csv': '13c0c2678af969737f7c2e19901c1b647ef6ca261af8c176b98a343d40cf71b7',
+    },
+    'ber-n360-rpsdm-mmse': {
+        'stdout': 'a084854a6598be3dba709dbf685782d1388068e420cb865e00f42af072f05fd8',
+        'ber.csv': '9e7239356fb3a24c256956cb3e5caf54ef64040fd5bc5c6a5ccb7688a17ec9e2',
     },
     'ber-n512': {
         'stdout': 'eb9199ea55e92c23a09601fb6df0a7771fdcdc62903c7aff71abeb5e04d87ab7',

@@ -43,9 +43,10 @@ class TestPapr:
         assert papr(x) == pytest.approx(4.0)
         assert papr_db(x) == pytest.approx(10 * math.log10(4), abs=1e-9)
 
-    def test_rejects_zero_block(self):
+    @pytest.mark.parametrize("block", [np.zeros(4), np.array([])])
+    def test_rejects_zero_block(self, block):
         with pytest.raises(ValueError):
-            papr(np.zeros(4))
+            papr(block)
 
     def test_ofdm_corner_block_hits_worst_case(self):
         # all-corner 16-QAM block at N=8: peak power N^2 beta^2 / N over
@@ -316,6 +317,13 @@ SCHEMES = (Scheme.OFDM, Scheme.RPSDM)
 DETECTORS = (Detector.ZF, Detector.MMSE)
 
 
+def refuse(name):
+    """A stand-in for ``name`` that fails the test when called."""
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return call
+
+
 class TestBerEngine:
     """``ber_curves`` runs every receiver on one set of draws; each curve is
     the one its receiver gives alone."""
@@ -338,16 +346,23 @@ class TestBerEngine:
     def test_power_of_two_lengths_run_no_dense_product(self, monkeypatch, n):
         # OFDM's ffts and RPSDM's butterflies need no N x N matrix; only the
         # RPSDM plan builds (and checks) its transform
-        def refuse(name):
-            def call(*args, **kwargs):
-                raise AssertionError(f"{name} called")
-            return call
         for module, name in ((rpsdm.transforms, "ofdm_synthesis_matrix"),
                              (rpsdm.metrics, "modulate"), (rpsdm.metrics, "demodulate"),
                              (rpsdm.detection, "_real_matvec")):
             monkeypatch.setattr(module, name, refuse(name))
         grid = np.array([0.0, 20.0])
         curves = ber_curves(SCHEMES, DETECTORS, n, 4, QAM16, grid, trials=5, seed=33)
+        assert [(c.scheme, c.detector) for c in curves] == [
+            (s, d) for s in SCHEMES for d in DETECTORS]
+
+    @pytest.mark.parametrize("n", [12, 96])
+    def test_no_receiver_demodulates(self, monkeypatch, n):
+        # every receiver, RPSDM-MMSE's block solves included, equalizes the
+        # frame's spectrum, so no row demodulates at non-power-of-two N either
+        for name in ("demodulate", "equalize"):
+            monkeypatch.setattr(rpsdm.metrics, name, refuse(name))
+        grid = np.array([0.0, 20.0])
+        curves = ber_curves(SCHEMES, DETECTORS, n, 4, QAM16, grid, trials=5, seed=35)
         assert [(c.scheme, c.detector) for c in curves] == [
             (s, d) for s in SCHEMES for d in DETECTORS]
 
