@@ -32,6 +32,10 @@ The framing, ``transmit`` and ``effective_channel`` also take a batch with
 rows first (one frame, tap row and noise draw per row), giving each row the
 bytes of its own call. ``transmit`` draws nothing: the caller draws each
 frame's noise with ``awgn`` from that frame's stream and passes it in.
+``add_cp``, ``transmit`` and ``remove_cp`` are the library's time-domain
+route and the test oracle of the BER engine, which applies the same channel
+as the per-bin product of ``effective_channel``'s gains with the unitary
+spectrum of the transmitted block.
 """
 
 from __future__ import annotations

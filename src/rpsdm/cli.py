@@ -7,7 +7,9 @@ the same parser, declared once per option in ``OPTIONS``. Stochastic
 commands require an explicit ``--seed`` (no wall-clock seeding) and rerunning
 with the same configuration produces byte-identical files. A config-file
 key that names no option is an error, as a misspelled flag is. BER trials
-run serially; ``--workers`` is validated but selects nothing.
+run serially; ``--workers`` is validated but selects nothing. The parser is
+built once per process, on the first ``main`` call, and serves every later
+call: parsing does not change it.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -434,6 +436,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rpsdm",

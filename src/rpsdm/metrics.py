@@ -1,18 +1,22 @@
 """PAPR statistics, BER Monte Carlo, and operation-count reporting.
 
-Monte Carlo determinism: every trial draws from its own stream seeded by
+Monte Carlo determinism: every trial draws from its own stream keyed by
 (master seed, curve point index, trial index, attempt), so curves are
 bit-identical regardless of chunking. One BER engine (``ber_curves``) runs
 every requested receiver on the same draws: each (point, trial) row's stream
-draws its taps, bits and noise once (``transmit`` adds the drawn noise and
-draws none itself), and each scheme synthesizes, transmits and strips the
-CP from them once. Synthesis is the one the CCDF engine uses
-(``_fast_synthesis``): OFDM's unitary ifft, RPSDM's O(N) Haar butterfly at
-power-of-two N, and ``modulate``'s row-exact product at other N. Each
-(scheme, detector) receiver then equalizes and demaps. Every receiver,
-RPSDM-MMSE's block solves at non-power-of-two N included, reads the unitary
-spectrum of the received block, shared per scheme, through
-``equalize_spectrum``; ``forward @ e_r = I`` makes it the spectrum that
+draws its taps, bits and frame noise once. The engine runs the channel on
+the frame spectrum: a CP of L-1 samples makes the channel circular, so the
+unitary spectrum of the CP-stripped received block is the per-bin product
+Y = H X + fft(w[L-1:], norm="ortho"), with H the DFT of the taps (the
+effective channel's gains), X the unitary spectrum of the transmitted block
+and w the frame noise. X is the symbols themselves for OFDM. For RPSDM it
+is the spectrum of the synthesis the CCDF engine uses (``_fast_synthesis``):
+the O(N) Haar butterfly at power-of-two N, and ``modulate``'s row-exact
+product at other N. The time-domain chain ``add_cp``, ``transmit`` and
+``remove_cp`` stays the library route and the engine's test oracle; no row
+runs it. Each (scheme, detector) receiver then equalizes Y through
+``equalize_spectrum``, RPSDM-MMSE's block solves at non-power-of-two N
+included, and demaps; ``forward @ e_r = I`` makes Y the spectrum that
 ``equalize`` would rebuild from the demodulated block, so no receiver
 demodulates. At power-of-two N a trial therefore runs no N x N product, and
 a job builds no N x N matrix beyond the RPSDM plan's checked transform.
@@ -28,13 +32,16 @@ One CCDF engine (``papr_ccdfs``) runs every curve of a job on the same
 blocks: block t draws its symbol indices from the stream keyed (master
 seed, t), once at the job's largest N, and the curve at each N reads the
 first N of them, which is the draw of that length from the same stream.
-Every stream is the one ``np.random.default_rng(key)`` gives; the CCDF
-engine computes a chunk's SeedSequence hashes and PCG64 seeds together in
-numpy, loads each row's state into one reused Generator, and reads the
-indices ``integers(0, m, N)`` would draw straight from its raw 64-bit
-words (m is a power of two). Each curve synthesizes its blocks once per
-chunk: OFDM by the unitary ifft, RPSDM at power-of-two N by the O(N) Haar
-butterfly, with no plan, and RPSDM at other N by a real gemm on its basis.
+Each curve synthesizes its blocks once per chunk: OFDM by the unitary ifft,
+RPSDM at power-of-two N by the O(N) Haar butterfly, with no plan, and RPSDM
+at other N by a real gemm on its basis; the indices ``integers(0, m, N)``
+would draw are read straight from each stream's raw 64-bit words (m is a
+power of two).
+
+Every stream of both engines is the one ``np.random.default_rng(key)``
+gives, but neither engine seeds one per row: ``_key_streams`` computes a
+chunk's SeedSequence hashes and PCG64 seeds together in numpy and loads
+each row's state into one reused Generator.
 """
 
 from __future__ import annotations
@@ -45,14 +52,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (ChannelRealization, add_cp, awgn, draw_channel, effective_channel,
-                      remove_cp, transmit)
+from .channel import ChannelRealization, awgn, draw_channel, effective_channel
 from .detection import (Detector, DetectorSpec, QamConstellation, SingularChannelError,
                         equalize_spectrum, qam_demap, qam_map)
 from .number_theory import divisor_set, is_power_of_two, totient
 from .ramanujan import ramanujan_sum
 from .transforms import Scheme, direct_flops, fast_flops, haar_synthesis, make_plan, modulate
-# unused here: the benchmark tracer (bench/spans.py) looks both up in this module
+# unused here: the benchmark tracer (bench/spans.py) looks these up in this module
+from .channel import add_cp, remove_cp, transmit  # noqa: F401
 from .detection import equalize  # noqa: F401
 from .transforms import demodulate  # noqa: F401
 
@@ -366,41 +373,48 @@ def noise_variance(snr_grid_db: np.ndarray) -> np.ndarray:
     return sigma2
 
 
-def _ber_trial(receivers, constellation, l: int, sigma2: np.ndarray,
-               seed_keys: list[tuple[int, ...]], attempt: int) -> list:
-    """End-to-end trials as one batch, a row per seed key at stream
-    ``attempt`` and noise variance ``sigma2[row]``, through every ``(plan,
-    detector)`` receiver. Each row's stream draws its taps, bits and AWGN in
-    that order, once for all receivers. Each scheme synthesizes, transmits
-    and strips the CP once on the (rows, N) arrays (``_fast_synthesis``, or
-    ``modulate`` for RPSDM at non-power-of-two N) and builds its effective
-    channel and the unitary spectrum of the received blocks once; each
-    receiver makes one ``equalize_spectrum`` call on that spectrum. Returns,
-    per receiver, each row's (bit errors, summed squared symbol error), or
-    None where a ZF row hit an exact zero and that receiver's equalizer
-    raised SingularChannelError for the whole batch."""
+def _ber_trial(receivers, constellation, l: int, sigma2: np.ndarray, seed: int,
+               points: np.ndarray, trials: np.ndarray, attempt: int) -> list:
+    """End-to-end trials as one batch, a row per ``(points[row], trials[row])``
+    on stream ``[seed, point, trial, attempt]`` (``_key_streams``) with noise
+    variance ``sigma2[row]``, through every ``(plan, detector)`` receiver.
+    Each row's stream draws its taps, bits and frame AWGN in that order,
+    once for all receivers. The CP makes the channel circular, so the
+    unitary spectrum of a received block is the per-bin product
+    ``Y = H X + fft(w[l-1:], norm="ortho")``: H the DFT of the taps
+    (``effective_channel``'s gains), X the unitary spectrum of the
+    transmitted block and w the frame noise, whose spectrum every scheme
+    shares. X is the symbols for OFDM, and for RPSDM the spectrum of its
+    synthesis (``_fast_synthesis``, or ``modulate`` at non-power-of-two N).
+    Each receiver makes one ``equalize_spectrum`` call on its scheme's Y.
+    Returns, per receiver, each row's (bit errors, summed squared symbol
+    error), or None where a ZF row hit an exact zero and that receiver's
+    equalizer raised SingularChannelError for the whole batch."""
     n = receivers[0][0].n
     bits_per = constellation.bits_per_symbol
     frame = n + l - 1
-    rows = len(seed_keys)
+    rows = len(points)
     taps = np.empty((rows, l), dtype=np.complex128)
     bits = np.empty((rows, n * bits_per), dtype=np.int64)
     noise = np.empty((rows, frame), dtype=np.complex128)
-    for r, key in enumerate(seed_keys):
-        rng = np.random.default_rng([*key, attempt])
+    for r, rng in enumerate(_key_streams(seed, points, trials, attempt)):
         taps[r] = draw_channel(rng, l, n).taps
         bits[r] = rng.integers(0, 2, n * bits_per)
         noise[r] = awgn(rng, frame, sigma2[r])
     ch = ChannelRealization(taps=taps, n=n)
     symbols = qam_map(bits, constellation)
+    noise_spectrum = np.fft.fft(noise[:, l - 1:], norm="ortho")
     received = {}
     results = []
     for plan, detector in receivers:
         if plan.scheme not in received:
-            synthesis = _fast_synthesis(plan.scheme, n) or (lambda s: modulate(plan, s))
-            block = remove_cp(transmit(add_cp(synthesis(symbols), l), ch, noise), l)
-            received[plan.scheme] = (np.fft.fft(block, norm="ortho"),
-                                     effective_channel(plan.scheme, ch, plan.transform))
+            eff = effective_channel(plan.scheme, ch, plan.transform)
+            if plan.scheme is Scheme.OFDM:
+                sent = symbols
+            else:
+                synthesis = _fast_synthesis(plan.scheme, n) or (lambda s: modulate(plan, s))
+                sent = np.fft.fft(synthesis(symbols), norm="ortho")
+            received[plan.scheme] = (eff.gains * sent + noise_spectrum, eff)
         spectrum, eff = received[plan.scheme]
         spec = DetectorSpec.zf() if detector is Detector.ZF else DetectorSpec.mmse(sigma2)
         try:
@@ -443,8 +457,9 @@ def ber_curves(schemes, detectors, n: int, l: int, constellation: QamConstellati
     resamples = [0] * len(receivers)
 
     def run(chosen: list, rows: np.ndarray, attempt: int) -> list:
-        keys = [(seed, *divmod(int(row), trials)) for row in rows]
-        return _ber_trial(chosen, constellation, l, sigma2[rows // trials], keys, attempt)
+        point, trial = np.divmod(rows, trials)
+        return _ber_trial(chosen, constellation, l, sigma2[point], seed, point, trial,
+                          attempt)
 
     for start in range(0, points * trials, _BER_CHUNK):
         rows = np.arange(start, min(start + _BER_CHUNK, points * trials))

@@ -1,6 +1,7 @@
 """Tests for the command-line harness: output contents, config handling,
 exit codes, and byte-level determinism."""
 
+import gc
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from rpsdm.channel import circulant_matrix, draw_channel, structure_report
-from rpsdm.cli import main
+from rpsdm.cli import _build_parser, main
 from rpsdm.detection import QamConstellation
 from rpsdm.metrics import worst_case_papr
 from rpsdm.ramanujan import build_transform
@@ -197,6 +198,49 @@ class TestDeterminism:
             assert flagged.read_bytes() == plain.read_bytes()
         else:
             assert not flagged.exists()
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process."""
+
+    BER = ["ber", "--n", "16", "--l", "3", "--snr", "5,15", "--trials", "6", "--seed", "13"]
+    CCDF = ["papr-ccdf", "--n", "8,12", "--trials", "50", "--seed", "13",
+            "--thresholds", "0:9:1"]
+
+    @pytest.mark.parametrize("argv", [BER, CCDF], ids=["ber", "papr-ccdf"])
+    def test_a_warm_call_leaves_no_cyclic_garbage(self, tmp_path, capsys, argv):
+        argv = argv + ["--output", str(tmp_path / "out.csv")]
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
+
+    @pytest.mark.parametrize("argv", [BER, CCDF], ids=["ber", "papr-ccdf"])
+    def test_repeated_calls_write_identical_bytes(self, tmp_path, capsys, argv):
+        outputs = [tmp_path / f"{i}.csv" for i in range(3)]
+        for out in outputs:
+            assert main(argv + ["--output", str(out)]) == 0
+        assert len({out.read_bytes() for out in outputs}) == 1
+
+    def test_a_failure_between_successes_changes_nothing(self, tmp_path, capsys):
+        bad = self.BER[:-1] + ["-1"]
+        with pytest.raises(SystemExit) as fresh:
+            _build_parser.__wrapped__().parse_args(bad)
+        assert fresh.value.code == 2
+        expected_err = capsys.readouterr().err
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(self.BER + ["--output", str(first)]) == 0
+        capsys.readouterr()
+        for _ in range(2):
+            assert main(bad) == 2
+            assert capsys.readouterr().err == expected_err
+        assert main(self.BER + ["--output", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestConfigFile:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import rpsdm.channel
 import rpsdm.detection
 import rpsdm.metrics
 import rpsdm.transforms
@@ -366,6 +367,41 @@ class TestBerEngine:
         assert [(c.scheme, c.detector) for c in curves] == [
             (s, d) for s in SCHEMES for d in DETECTORS]
 
+    @pytest.mark.parametrize("n", [12, 96, 128])
+    @pytest.mark.parametrize("l", [1, 3, "n"])
+    def test_matches_the_time_domain_replay(self, n, l):
+        # the engine's per-bin channel Y = H X + fft(w[l-1:]) against the
+        # time-domain chain add_cp -> transmit -> remove_cp -> demodulate ->
+        # equalize on the same streams; L=1 has no CP, L=N the longest one
+        l = n if l == "n" else l
+        grid = np.array([0.0, 10.0, 20.0])
+        curves = ber_curves(SCHEMES, DETECTORS, n, l, QAM16, grid, trials=4, seed=37)
+        for curve in curves:
+            values, resamples, squared = replay_ber(curve.scheme, curve.detector, n, l, QAM16,
+                                                    grid, 4, 37, rpsdm.channel.draw_channel)
+            assert curve.metadata["resampled_trials"] == resamples == 0
+            assert np.array_equal(curve.values, values)
+            np.testing.assert_allclose(curve.squared_error, squared, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [12, 128])
+    def test_no_row_runs_the_time_domain_channel_or_seeds_a_stream(self, monkeypatch, n):
+        # the channel is a per-bin product on the frame spectrum, and every
+        # row's stream comes from _key_streams, not from a seeded default_rng
+        for name in ("add_cp", "transmit", "remove_cp"):
+            monkeypatch.setattr(rpsdm.metrics, name, refuse(name))
+        monkeypatch.setattr(np, "convolve", refuse("np.convolve"))
+        default_rng = np.random.default_rng
+
+        def generators_only(seed=None):
+            if not isinstance(seed, np.random.Generator):
+                raise AssertionError(f"default_rng({seed!r}) called")
+            return default_rng(seed)
+        monkeypatch.setattr(np.random, "default_rng", generators_only)
+        grid = np.array([0.0, 20.0])
+        curves = ber_curves(SCHEMES, DETECTORS, n, 4, QAM16, grid, trials=5, seed=39)
+        assert [(c.scheme, c.detector) for c in curves] == [
+            (s, d) for s in SCHEMES for d in DETECTORS]
+
     def test_one_plan_per_scheme_and_one_draw_per_row(self, monkeypatch):
         calls = {"make_plan": 0, "draw_channel": 0}
 
@@ -391,13 +427,29 @@ SINGULAR_ATTEMPTS = {(0, 1): 1, (1, 3): 2, (2, 0): 1, (2, 5): 1}
 SINGULAR_TAPS = np.array([1, -1j])
 
 
+def pcg64_state(rng) -> tuple[int, int]:
+    """The (state, inc) pair of a PCG64 stream, which identifies it."""
+    state = rng.bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+#: the (seed, point, trial, attempt) key of every stream the resampling tests
+#: draw from, by the PCG64 state ``np.random.default_rng(key)`` starts from:
+#: seed 21's 3 points x 6 trials x 3 attempts, and seed 0's (0, 0) attempts
+#: 0 ... 1000
+STREAM_KEYS = {pcg64_state(np.random.default_rng(key)): key for key in [
+    *((21, p, t, a) for p in range(3) for t in range(6) for a in range(3)),
+    *((0, 0, 0, a) for a in range(1001))]}
+
+
 def forced_draw_channel(real_draw, singular=SINGULAR_ATTEMPTS):
     """draw_channel that still consumes the real taps' draws, then hands back
     the singular taps for the chosen (point, trial, attempt) streams. It keys
-    on the stream's seed, not on call order."""
+    on the stream's state before its first draw, not on call order, so a
+    stream that is not ``default_rng``'s for its key raises KeyError."""
     def draw(rng, l, n):
+        _, p, t, attempt = STREAM_KEYS[pcg64_state(rng)]
         ch = real_draw(rng, l, n)
-        _, p, t, attempt = rng.bit_generator.seed_seq.entropy
         if attempt < singular.get((p, t), 0):
             return ChannelRealization(taps=SINGULAR_TAPS.copy(), n=n)
         return ch
