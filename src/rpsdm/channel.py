@@ -66,15 +66,16 @@ class ChannelRealization:
 
 
 def draw_channel(rng, l: int, n: int) -> ChannelRealization:
-    """Draw L iid CN(0,1) taps (real/imag parts each variance 1/2).
+    """Draw L iid CN(0,1) taps: L real parts, then L imaginary parts, each
+    of variance 1/2.
 
     ``rng`` is a numpy Generator or an integer seed; fixed seed gives
     identical taps on repeated calls.
     """
     if not 1 <= l <= n:
         raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
-    rng = np.random.default_rng(rng)
-    taps = (rng.standard_normal(l) + 1j * rng.standard_normal(l)) / np.sqrt(2.0)
+    z = np.random.default_rng(rng).standard_normal(2 * l)
+    taps = (z[:l] + 1j * z[l:]) / np.sqrt(2.0)
     return ChannelRealization(taps=taps, n=n)
 
 
@@ -103,7 +104,8 @@ def awgn(rng: np.random.Generator, k: int, sigma2: float) -> np.ndarray:
     parts, then k imaginary parts, each of variance sigma2 / 2."""
     if sigma2 < 0:
         raise ValueError(f"noise variance must be >= 0, got {sigma2}")
-    return (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * np.sqrt(sigma2 / 2.0)
+    z = rng.standard_normal(2 * k)
+    return (z[:k] + 1j * z[k:]) * np.sqrt(sigma2 / 2.0)
 
 
 def transmit(x_cp: np.ndarray, ch: ChannelRealization,

@@ -4,7 +4,8 @@ Monte Carlo determinism: every trial draws from its own stream keyed by
 (master seed, curve point index, trial index, attempt), so curves are
 bit-identical regardless of chunking. One BER engine (``ber_curves``) runs
 every requested receiver on the same draws: each (point, trial) row's stream
-draws its taps, bits and frame noise once. The engine runs the channel on
+draws its taps, bits and frame noise once, in three generator calls
+(``_ber_draws``). The engine runs the channel on
 the frame spectrum: a CP of L-1 samples makes the channel circular, so the
 unitary spectrum of the CP-stripped received block is the per-bin product
 Y = H X + fft(w[L-1:], norm="ortho"), with H the DFT of the taps (the
@@ -19,7 +20,8 @@ runs it. Each (scheme, detector) receiver then equalizes Y through
 included, and demaps; ``forward @ e_r = I`` makes Y the spectrum that
 ``equalize`` would rebuild from the demodulated block, so no receiver
 demodulates. At power-of-two N a trial therefore runs no N x N product, and
-a job builds no N x N matrix beyond the RPSDM plan's checked transform.
+a job builds no N x N matrix: the RPSDM plan's transform builds its dense
+pair only when read, and only other N read it.
 Every stage runs once per chunk of rows on (rows, N) arrays, giving each row
 the bytes of its own 1-D call, so a curve does not depend on the chunk size,
 on which rows share a batch, or on which other receivers run beside it. A
@@ -39,24 +41,24 @@ would draw are read straight from each stream's raw 64-bit words (m is a
 power of two).
 
 Every stream of both engines is the one ``np.random.default_rng(key)``
-gives, but neither engine seeds one per row: ``_key_streams`` computes a
-chunk's SeedSequence hashes and PCG64 seeds together in numpy and loads
-each row's state into one reused Generator.
+gives, but neither engine seeds one per row: ``streams._key_streams``
+computes a chunk's SeedSequence hashes and PCG64 seeds together in numpy
+and loads each row's state into one reused Generator.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelRealization, awgn, draw_channel, effective_channel
+from .channel import ChannelRealization, draw_channel, effective_channel
 from .detection import (Detector, DetectorSpec, QamConstellation, SingularChannelError,
                         equalize_spectrum, qam_demap, qam_map)
 from .number_theory import divisor_set, is_power_of_two, totient
 from .ramanujan import ramanujan_sum
+from .streams import _key_streams, _raw_indices
 from .transforms import Scheme, direct_flops, fast_flops, haar_synthesis, make_plan, modulate
 # unused here: the benchmark tracer (bench/spans.py) looks these up in this module
 from .channel import add_cp, remove_cp, transmit  # noqa: F401
@@ -149,107 +151,6 @@ def _binomial_ci(values: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarra
     return np.clip(values - half, 0.0, 1.0), np.clip(values + half, 0.0, 1.0)
 
 
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-
-#: SeedSequence's hash constants (numpy NEP 19, after O'Neill's seed_seq)
-_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
-_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
-_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
-
-#: PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _key_words(key) -> tuple[np.ndarray, np.ndarray]:
-    """SeedSequence's entropy words of every row of ``key``: the
-    little-endian uint32 words of each entry in order, zero padded to a
-    (rows, width) array, and each row's word count. An entry is a
-    non-negative integer shared by every row, or an int64 array holding one
-    value per row."""
-    rows = max((len(e) for e in key if isinstance(e, np.ndarray)), default=1)
-    slots = []  # (word of each row, which rows have that word)
-    for entry in key:
-        if isinstance(entry, np.ndarray):
-            values = entry.astype(np.int64)
-            if (values < 0).any():
-                raise ValueError("expected non-negative integer")
-            slots += [(values & _MASK32, True), (values >> 32, values >> 32 > 0)]
-            continue
-        value = operator.index(entry)
-        if value < 0:
-            raise ValueError("expected non-negative integer")
-        while True:
-            slots.append((np.full(rows, value & _MASK32), True))
-            value >>= 32
-            if not value:
-                break
-    words = np.zeros((rows, max(len(slots), 4)), dtype=np.uint32)
-    length = np.zeros(rows, dtype=np.int64)
-    for word, present in slots:
-        present = np.broadcast_to(present, rows)
-        words[present, length[present]] = word[present]
-        length += present
-    return words, length
-
-
-def _pcg64_states(key) -> list[tuple[int, int]]:
-    """``(state, inc)`` of ``np.random.default_rng(row key)`` for every row
-    of ``key`` (see ``_key_words``): SeedSequence's pool hash and state
-    generation run on all rows at once in uint32 arithmetic, then PCG64's
-    seeding takes two LCG steps per row."""
-    words, length = _key_words(key)
-    const = _SS_INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _SS_MULT_A & _MASK32
-        value = value * np.uint32(const)
-        return value ^ value >> np.uint32(16)
-
-    def mix(x, y):
-        result = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
-        return result ^ result >> np.uint32(16)
-
-    # a missing word among the first four hashes as a zero, so padding is exact
-    pool = [hashmix(words[:, i]) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, words.shape[1]):
-        live = length > src
-        for dst in range(4):
-            pool[dst] = np.where(live, mix(pool[dst], hashmix(words[:, src])), pool[dst])
-    const = _SS_INIT_B
-    seeds = np.empty((words.shape[0], 8), dtype=np.uint32)
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(const)
-        const = const * _SS_MULT_B & _MASK32
-        value = value * np.uint32(const)
-        seeds[:, i] = value ^ value >> np.uint32(16)
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in seeds.astype("<u4").view("<u8").tolist():
-        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
-        states.append((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc))
-    return states
-
-
-def _key_streams(*key):
-    """The stream of ``np.random.default_rng`` for each row of ``key`` (see
-    ``_key_words``): ``_key_streams(seed, np.arange(a, b))`` gives those of
-    ``[seed, t]`` for t in a..b-1. Yields one Generator, loaded with the
-    next row's state before each yield, so take a row's draws before asking
-    for the next."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    for state, inc in _pcg64_states(key):
-        rng.bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-        yield rng
-
-
 def _fast_synthesis(scheme: Scheme, n: int):
     """The block synthesis of (rows, N) symbols with no N x N matrix, shared
     by both engines: OFDM's unitary ifft at every N, and the Haar butterfly
@@ -269,17 +170,6 @@ def _ccdf_synthesis(scheme: Scheme, n: int):
     forward_t = make_plan(scheme, n).forward.T.copy()
     # real basis: two real gemms cost half of one complex gemm
     return lambda symbols: symbols.real @ forward_t + 1j * (symbols.imag @ forward_t)
-
-
-def _symbol_indices(streams, n: int, m: int) -> np.ndarray:
-    """The indices ``rng.integers(0, m, n)`` of each stream, one row per
-    stream, for a power-of-two m, read from raw PCG64 output. For such m,
-    Lemire's bounded draw never rejects and keeps the top log2(m) bits of
-    each 32-bit word, and PCG64 serves every 64-bit output as two words, low
-    half first."""
-    raw = np.array([rng.bit_generator.random_raw((n + 1) // 2) for rng in streams])
-    words = raw.astype("<u8", copy=False).view("<u4")  # little-endian: low half first
-    return (words[:, :n] >> np.uint32(32 - (m.bit_length() - 1))).astype(np.intp)
 
 
 def _exceed_counts(blocks: np.ndarray, thresholds_db: np.ndarray) -> np.ndarray:
@@ -315,8 +205,10 @@ def papr_ccdfs(schemes, n_list, constellation: QamConstellation,
     n_max = max(n_list)
     for start in range(0, trials, _CCDF_CHUNK):
         stop = min(start + _CCDF_CHUNK, trials)
-        idx = _symbol_indices(_key_streams(seed, np.arange(start, stop)), n_max,
-                              constellation.m)
+        streams = _key_streams(seed, np.arange(start, stop))
+        # no name holds the raw words, so they are freed before any curve synthesizes
+        idx = _raw_indices(np.array([rng.bit_generator.random_raw((n_max + 1) // 2)
+                                     for rng in streams]), n_max, constellation.m)
         for n, scheme in pairs:
             # one curve's blocks are freed before the next curve synthesizes its own
             exceed[n, scheme] += _exceed_counts(synthesis[n, scheme](points[idx[:, :n]]),
@@ -373,6 +265,28 @@ def noise_variance(snr_grid_db: np.ndarray) -> np.ndarray:
     return sigma2
 
 
+def _ber_draws(seed: int, points: np.ndarray, trials: np.ndarray, attempt: int, n: int,
+               l: int, bits_per: int, sigma2: np.ndarray):
+    """Each row's taps, bits and frame noise, drawn in that order from stream
+    ``[seed, points[row], trials[row], attempt]`` (``_key_streams``) with
+    three calls: ``draw_channel``, then the raw words that hold the bits
+    ``integers(0, 2, n * bits_per)`` would draw, then the 2(N + L - 1)
+    normals of ``awgn`` at noise variance ``sigma2[row]``, scaled for all
+    rows at once. Each row gets the bytes of those per-row draws."""
+    frame = n + l - 1
+    rows = len(points)
+    taps = np.empty((rows, l), dtype=np.complex128)
+    raw = np.empty((rows, (n * bits_per + 1) // 2), dtype=np.uint64)
+    normals = np.empty((rows, 2 * frame))
+    for r, rng in enumerate(_key_streams(seed, points, trials, attempt)):
+        taps[r] = draw_channel(rng, l, n).taps
+        raw[r] = rng.bit_generator.random_raw(raw.shape[1])
+        rng.standard_normal(out=normals[r])
+    bits = _raw_indices(raw, n * bits_per, 2)
+    noise = (normals[:, :frame] + 1j * normals[:, frame:]) * np.sqrt(sigma2 / 2.0)[:, None]
+    return taps, bits, noise
+
+
 def _ber_trial(receivers, constellation, l: int, sigma2: np.ndarray, seed: int,
                points: np.ndarray, trials: np.ndarray, attempt: int) -> list:
     """End-to-end trials as one batch, a row per ``(points[row], trials[row])``
@@ -391,16 +305,8 @@ def _ber_trial(receivers, constellation, l: int, sigma2: np.ndarray, seed: int,
     error), or None where a ZF row hit an exact zero and that receiver's
     equalizer raised SingularChannelError for the whole batch."""
     n = receivers[0][0].n
-    bits_per = constellation.bits_per_symbol
-    frame = n + l - 1
-    rows = len(points)
-    taps = np.empty((rows, l), dtype=np.complex128)
-    bits = np.empty((rows, n * bits_per), dtype=np.int64)
-    noise = np.empty((rows, frame), dtype=np.complex128)
-    for r, rng in enumerate(_key_streams(seed, points, trials, attempt)):
-        taps[r] = draw_channel(rng, l, n).taps
-        bits[r] = rng.integers(0, 2, n * bits_per)
-        noise[r] = awgn(rng, frame, sigma2[r])
+    taps, bits, noise = _ber_draws(seed, points, trials, attempt, n, l,
+                                   constellation.bits_per_symbol, sigma2)
     ch = ChannelRealization(taps=taps, n=n)
     symbols = qam_map(bits, constellation)
     noise_spectrum = np.fft.fft(noise[:, l - 1:], norm="ortho")

@@ -13,7 +13,7 @@ exact and the orthogonality identities hold without rounding drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -93,24 +93,55 @@ class SubspaceMap:
 class PeriodicTransform:
     """Full modulation/demodulation pair for block length n.
 
-    ``e_t`` is the exact integer matrix [S_q1 ... S_qm]; ``q_norm`` holds the
-    per-column subspace weights 1/sqrt(n*phi(q_i)), repeated phi(q_i) times
-    per divisor block; ``forward`` is the normalized modulation matrix (e_t
-    with weighted columns); ``e_r`` is its inverse, realized as the plain
-    transpose when n is a power of two (the weighted columns are orthonormal
-    there) and as a dense inverse otherwise.
+    ``q_norm`` holds the per-column subspace weights 1/sqrt(n*phi(q_i)),
+    repeated phi(q_i) times per divisor block. The dense pair is built on
+    the first read of any of its three matrices, residual-checked, and then
+    kept: ``e_t`` is the exact integer matrix [S_q1 ... S_qm], ``forward``
+    the normalized modulation matrix (e_t with weighted columns), and
+    ``e_r`` its inverse, realized as the plain transpose when n is a power of
+    two (the weighted columns are orthonormal there) and as a dense inverse
+    otherwise. A caller that never reads them, as the BER engine at
+    power-of-two n, builds no n x n array.
     """
 
     n: int
     layout: DivisorSet
-    e_t: np.ndarray
     q_norm: np.ndarray
-    forward: np.ndarray = field(repr=False)
-    e_r: np.ndarray = field(repr=False)
 
     @property
     def transpose_path(self) -> bool:
         return is_power_of_two(self.n)
+
+    @cached_property
+    def _dense_pair(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(e_t, forward, e_r), built together on first read. Raises
+        NumericalError if the demodulation residual ||e_r@forward - I||
+        exceeds INVERSE_RESIDUAL_TOL (cannot happen for a nonsingular basis;
+        kept as a hard internal check on the dense pair)."""
+        n = self.n
+        e_t = np.empty((n, n), dtype=np.int64)
+        for q, phi, offset in self.layout.blocks():
+            e_t[:, offset:offset + phi] = subspace_basis(q, n)
+        forward = e_t * self.q_norm  # column scaling
+        e_r = forward.T.copy() if self.transpose_path else np.linalg.inv(forward)
+        residual = np.abs(e_r @ forward - np.eye(n)).max()
+        if residual >= INVERSE_RESIDUAL_TOL:
+            raise NumericalError(
+                f"demodulation pair for n={n} failed residual check: {residual:.3e}"
+            )
+        return e_t, forward, e_r
+
+    @property
+    def e_t(self) -> np.ndarray:
+        return self._dense_pair[0]
+
+    @property
+    def forward(self) -> np.ndarray:
+        return self._dense_pair[1]
+
+    @property
+    def e_r(self) -> np.ndarray:
+        return self._dense_pair[2]
 
     @cached_property
     def subspace_maps(self) -> tuple[SubspaceMap, ...]:
@@ -126,32 +157,16 @@ class PeriodicTransform:
 
 
 def build_transform(n: int) -> PeriodicTransform:
-    """Construct the transform pair for block length n.
-
-    Raises NumericalError if the demodulation residual ||e_r@forward - I||
-    exceeds INVERSE_RESIDUAL_TOL (cannot happen for a nonsingular basis; kept
-    as a hard internal check on the dense inversion path).
-    """
+    """The transform for block length n: its divisor layout and column
+    weights. The dense pair and its residual check wait for the first read
+    of ``e_t``, ``forward`` or ``e_r``."""
     if n < 1:
         raise ValueError(f"build_transform requires n >= 1, got {n}")
     layout = divisor_set(n)
-    e_t = np.empty((n, n), dtype=np.int64)
     q_norm = np.empty(n, dtype=np.float64)
     for q, phi, offset in layout.blocks():
-        e_t[:, offset:offset + phi] = subspace_basis(q, n)
         q_norm[offset:offset + phi] = 1.0 / np.sqrt(n * phi)
-    forward = e_t * q_norm  # column scaling
-    if is_power_of_two(n):
-        e_r = forward.T.copy()
-    else:
-        e_r = np.linalg.inv(forward)
-    residual = np.abs(e_r @ forward - np.eye(n)).max()
-    if residual >= INVERSE_RESIDUAL_TOL:
-        raise NumericalError(
-            f"demodulation pair for n={n} failed residual check: {residual:.3e}"
-        )
-    return PeriodicTransform(n=n, layout=layout, e_t=e_t, q_norm=q_norm,
-                             forward=forward, e_r=e_r)
+    return PeriodicTransform(n=n, layout=layout, q_norm=q_norm)
 
 
 def dft_support(q: int, n_total: int) -> set[int]:

@@ -4,8 +4,10 @@
 total-power scaling: OFDM's unitary DFT matrices, and RPSDM's real matrices
 meeting complex symbols as one real gemm on the (n, 2) float view of the
 vector. A (rows, N) batch is a stack of those products, one per row, so each
-row's bytes equal its own 1-D call. A plan builds OFDM's DFT matrix only
-when ``forward`` or ``inverse`` is first read; the engines never read it.
+row's bytes equal its own 1-D call. A plan builds its dense matrices only
+when ``forward`` or ``inverse`` is first read: OFDM's DFT matrix, which the
+engines never read, and RPSDM's transform pair, which they read only at
+non-power-of-two N.
 ``sparse_irpt`` and ``synthesize_by_subspaces`` are test oracles that the
 dense route must agree with; ``sparse_irpt`` also carries the sparse op
 count. At power-of-two N, RPSDM needs no N x N matrix: ``haar_synthesis``
@@ -58,8 +60,8 @@ class ModulatorPlan:
 
     The total block power is N, so symbols and samples share one scale and
     the noise variance parameterizes SNR directly. RPSDM's matrices are its
-    transform's; OFDM's DFT matrix is built on the first read of
-    ``forward`` or ``inverse`` and then kept.
+    transform's dense pair; they and OFDM's DFT matrix are built on the
+    first read of ``forward`` or ``inverse`` and then kept.
     """
 
     scheme: Scheme

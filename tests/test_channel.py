@@ -109,6 +109,17 @@ class TestTransmit:
         with pytest.raises(ValueError, match="noise variance"):
             awgn(np.random.default_rng(0), 4, -0.5)
 
+    @pytest.mark.parametrize("k", [1, 7, 270])
+    def test_draws_take_real_parts_then_imaginary_parts(self, k):
+        # draw_channel and awgn each draw k real parts, then k imaginary
+        # parts, from the stream: the bytes of one standard_normal call each
+        rng = np.random.default_rng(k)
+        taps = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
+        noise = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * np.sqrt(0.3 / 2.0)
+        rng = np.random.default_rng(k)
+        assert draw_channel(rng, k, k).taps.tobytes() == taps.tobytes()
+        assert awgn(rng, k, 0.3).tobytes() == noise.tobytes()
+
     def test_rejects_wrong_frame_length(self):
         ch = ChannelRealization(taps=np.ones(3, dtype=complex), n=8)
         with pytest.raises(ValueError):

@@ -8,15 +8,17 @@ import pytest
 import rpsdm.channel
 import rpsdm.detection
 import rpsdm.metrics
+import rpsdm.ramanujan
 import rpsdm.transforms
-from rpsdm.channel import (ChannelRealization, add_cp, awgn, effective_channel, remove_cp,
-                           transmit)
+from rpsdm.channel import (ChannelRealization, add_cp, awgn, draw_channel, effective_channel,
+                           remove_cp, transmit)
 from rpsdm.detection import (Detector, DetectorSpec, QamConstellation, SingularChannelError,
                              equalize, qam_demap, qam_map)
-from rpsdm.metrics import (_CCDF_CHUNK, _key_streams, _symbol_indices, ber_curve,
-                           ber_curves, ccdf_crossing, complexity_report, gamma_coefficient,
-                           papr, papr_ccdf, papr_ccdfs, papr_db, worst_case_papr)
-from rpsdm.number_theory import totient
+from rpsdm.metrics import (_CCDF_CHUNK, _ber_draws, ber_curve, ber_curves, ccdf_crossing,
+                           complexity_report, gamma_coefficient, noise_variance, papr,
+                           papr_ccdf, papr_ccdfs, papr_db, worst_case_papr)
+from rpsdm.number_theory import divisor_set, totient
+from rpsdm.streams import _key_streams, _raw_indices
 from rpsdm.transforms import Scheme, demodulate, make_plan, modulate
 
 PRIMES_TO_97 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -226,7 +228,9 @@ class TestKeyStreams:
         # the CCDF's indices, read from raw PCG64 words, are the draws of
         # integers(0, m, n) on each row's stream
         trials = self.TRIALS[::3]
-        idx = _symbol_indices(_key_streams(20_240, trials), n, m)
+        raw = [rng.bit_generator.random_raw((n + 1) // 2)
+               for rng in _key_streams(20_240, trials)]
+        idx = _raw_indices(np.array(raw), n, m)
         expected = [np.random.default_rng([20_240, int(t)]).integers(0, m, n) for t in trials]
         assert idx.tobytes() == np.array(expected, dtype=np.intp).tobytes()
 
@@ -345,8 +349,7 @@ class TestBerEngine:
 
     @pytest.mark.parametrize("n", [16, 128])
     def test_power_of_two_lengths_run_no_dense_product(self, monkeypatch, n):
-        # OFDM's ffts and RPSDM's butterflies need no N x N matrix; only the
-        # RPSDM plan builds (and checks) its transform
+        # OFDM's ffts and RPSDM's butterflies need no N x N matrix
         for module, name in ((rpsdm.transforms, "ofdm_synthesis_matrix"),
                              (rpsdm.metrics, "modulate"), (rpsdm.metrics, "demodulate"),
                              (rpsdm.detection, "_real_matvec")):
@@ -355,6 +358,50 @@ class TestBerEngine:
         curves = ber_curves(SCHEMES, DETECTORS, n, 4, QAM16, grid, trials=5, seed=33)
         assert [(c.scheme, c.detector) for c in curves] == [
             (s, d) for s in SCHEMES for d in DETECTORS]
+
+    @pytest.mark.parametrize("n", [16, 128, 4096])
+    def test_power_of_two_lengths_build_no_dense_pair(self, monkeypatch, n):
+        # the butterflies and the per-bin equalizer read only the RPSDM
+        # transform's layout, so its dense pair is never built
+        monkeypatch.setattr(rpsdm.ramanujan, "subspace_basis", refuse("subspace_basis"))
+        curves = ber_curves(SCHEMES, DETECTORS, n, 4, QAM16, np.array([0.0, 20.0]), trials=2,
+                            seed=34)
+        assert [(c.scheme, c.detector) for c in curves] == [
+            (s, d) for s in SCHEMES for d in DETECTORS]
+
+    @pytest.mark.parametrize("n", [12, 96])
+    def test_other_lengths_build_the_dense_pair(self, monkeypatch, n):
+        # RPSDM's synthesis (modulate) and ZF analysis (e_r) need the pair
+        calls = []
+        real = rpsdm.ramanujan.subspace_basis
+
+        def counted(q, n_total):
+            calls.append(q)
+            return real(q, n_total)
+        monkeypatch.setattr(rpsdm.ramanujan, "subspace_basis", counted)
+        ber_curves(SCHEMES, DETECTORS, n, 4, QAM16, np.array([0.0, 20.0]), trials=2, seed=34)
+        assert calls == list(divisor_set(n).divisors)
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 128])
+    @pytest.mark.parametrize("m", [4, 16, 64, 256])
+    @pytest.mark.parametrize("l", [1, 3])
+    def test_draws_equal_the_per_row_calls(self, n, m, l):
+        # the engine's three draws per row against the per-row draw_channel,
+        # integers(0, 2, n k) and awgn on default_rng(row key), byte for byte:
+        # a last-place noise difference could hide under hard decisions. L is
+        # capped at N, and the rows span the noise variances of --snr=-20,0,300
+        l = min(l, n)
+        bits_per = QamConstellation.from_order(m).bits_per_symbol
+        seed, attempt = 2**40 + 3, 2
+        points = np.repeat(np.arange(3), 3)
+        trials = np.tile([0, 5, 2**32 + 1], 3)
+        sigma2 = noise_variance(np.array([-20.0, 0.0, 300.0]))[points]
+        taps, bits, noise = _ber_draws(seed, points, trials, attempt, n, l, bits_per, sigma2)
+        for r, (p, t) in enumerate(zip(points, trials)):
+            rng = np.random.default_rng([seed, int(p), int(t), attempt])
+            assert taps[r].tobytes() == draw_channel(rng, l, n).taps.tobytes()
+            assert bits[r].tobytes() == rng.integers(0, 2, n * bits_per).tobytes()
+            assert noise[r].tobytes() == awgn(rng, n + l - 1, sigma2[r]).tobytes()
 
     @pytest.mark.parametrize("n", [12, 96])
     def test_no_receiver_demodulates(self, monkeypatch, n):

@@ -220,6 +220,29 @@ class TestBuildTransform:
         with pytest.raises(ValueError):
             build_transform(0)
 
+    @pytest.mark.parametrize("n", [1, 2, 12, 16, 96, 128])
+    def test_dense_pair_is_built_once_on_first_read(self, monkeypatch, n):
+        t = build_transform(n)
+        assert not {"_dense_pair", "e_t", "forward", "e_r"} & vars(t).keys()
+        calls = []
+        real = rpsdm.ramanujan.subspace_basis
+
+        def counted(q, n_total):
+            calls.append(q)
+            return real(q, n_total)
+        monkeypatch.setattr(rpsdm.ramanujan, "subspace_basis", counted)
+        e_r, forward, e_t = t.e_r, t.forward, t.e_t
+        assert calls == list(t.layout.divisors)  # one basis per block, for all three
+        assert t.e_t is e_t and t.forward is forward and t.e_r is e_r
+        # an eager build from the parts: the integer basis, its weights and
+        # the inverse (the transpose at power-of-two N)
+        eager_e_t = np.hstack([real(q, n) for q in t.layout.divisors])
+        eager_forward = eager_e_t * t.q_norm
+        eager_e_r = eager_forward.T.copy() if is_power_of_two(n) else np.linalg.inv(eager_forward)
+        assert e_t.dtype == eager_e_t.dtype and e_t.tobytes() == eager_e_t.tobytes()
+        assert forward.tobytes() == eager_forward.tobytes()
+        assert e_r.tobytes() == eager_e_r.tobytes()
+
 
 def corrupt_two_periodic(basis: np.ndarray) -> np.ndarray:
     """The shifts of [2, 0, 2, 0]: orthogonal within the block with the
@@ -241,7 +264,8 @@ CORRUPTIONS = {"one entry": (8, corrupt_entry), "doubled block": (8, lambda b: 2
 
 class TestPowerOfTwoBasisCheck:
     """At power-of-two N, where ``e_r`` is ``forward.T``, a basis that is not
-    orthogonal still fails the dense residual check."""
+    orthogonal still fails the dense residual check, which runs on the first
+    read of the dense pair."""
 
     @pytest.mark.parametrize("name", CORRUPTIONS)
     def test_corrupted_basis_raises(self, monkeypatch, name):
@@ -253,8 +277,10 @@ class TestPowerOfTwoBasisCheck:
             return corrupt(basis) if q == bad_q else basis
 
         monkeypatch.setattr(rpsdm.ramanujan, "subspace_basis", corrupted)
-        with pytest.raises(NumericalError, match="pair for n=16 failed residual check"):
-            build_transform(16)
+        transform = build_transform(16)
+        for matrix in ("e_r", "forward", "e_t"):
+            with pytest.raises(NumericalError, match="pair for n=16 failed residual check"):
+                getattr(transform, matrix)
 
 
 class TestDftSupport:
