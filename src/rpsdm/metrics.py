@@ -34,11 +34,15 @@ One CCDF engine (``papr_ccdfs``) runs every curve of a job on the same
 blocks: block t draws its symbol indices from the stream keyed (master
 seed, t), once at the job's largest N, and the curve at each N reads the
 first N of them, which is the draw of that length from the same stream.
-Each curve synthesizes its blocks once per chunk: OFDM by the unitary ifft,
-RPSDM at power-of-two N by the O(N) Haar butterfly, with no plan, and RPSDM
-at other N by a real gemm on its basis; the indices ``integers(0, m, N)``
-would draw are read straight from each stream's raw 64-bit words (m is a
-power of two).
+The indices ``integers(0, m, N)`` would draw are read straight from each
+stream's raw 64-bit words (m is a power of two), held for a chunk in one
+array. Each N walks the chunk in row tiles of ``_CCDF_TILE // N`` rows, so
+a tile's symbols and blocks stay in cache: a tile gathers its symbols once,
+and each curve synthesizes and scores its blocks once per tile. OFDM
+synthesizes by the unitary ifft and RPSDM at power-of-two N by the O(N)
+Haar butterfly, with no plan, both row-exact at any tile height. RPSDM at
+other N takes a real gemm on its basis, whose 1-row product (a gemv) rounds
+differently, so at such N the tile is the whole chunk.
 
 Every stream of both engines is the one ``np.random.default_rng(key)``
 gives, but neither engine seeds one per row: ``streams._key_streams``
@@ -70,6 +74,10 @@ _CI_Z = 1.96
 
 #: trials per batched CCDF chunk (fixed so output never depends on memory)
 _CCDF_CHUNK = 2048
+
+#: samples per CCDF row tile: 512 KiB of complex128 per block array, so a
+#: tile's symbols and blocks stay in a core's L2 cache
+_CCDF_TILE = 1 << 15
 
 #: (SNR point, trial) rows per batched BER chunk (fixed, like _CCDF_CHUNK)
 _BER_CHUNK = 64
@@ -189,6 +197,8 @@ def papr_ccdfs(schemes, n_list, constellation: QamConstellation,
     stream ``[seed, t]``, once at the largest N: a shorter block is the
     prefix of that draw, which is what a draw of its own length from the
     same stream gives. So each curve equals its own ``papr_ccdf`` call.
+    Blocks are synthesized once per row tile of a chunk (see the module
+    docstring), and a curve does not depend on the chunk or tile size.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -199,20 +209,26 @@ def papr_ccdfs(schemes, n_list, constellation: QamConstellation,
                          f"got {constellation.m}")
     thresholds_db = np.asarray(thresholds_db, dtype=np.float64)
     points = constellation.points
-    pairs = list(dict.fromkeys((n, scheme) for n in n_list for scheme in schemes))
-    synthesis = {(n, scheme): _ccdf_synthesis(scheme, n) for n, scheme in pairs}
-    exceed = {pair: np.zeros(thresholds_db.shape[0], dtype=np.int64) for pair in pairs}
-    n_max = max(n_list)
+    synthesis = {n: {scheme: _ccdf_synthesis(scheme, n) for scheme in schemes} for n in n_list}
+    exceed = {(n, scheme): np.zeros(thresholds_db.shape[0], dtype=np.int64)
+              for n in n_list for scheme in schemes}
+    raw = np.empty((min(trials, _CCDF_CHUNK), (max(n_list) + 1) // 2), dtype=np.uint64)
     for start in range(0, trials, _CCDF_CHUNK):
-        stop = min(start + _CCDF_CHUNK, trials)
-        streams = _key_streams(seed, np.arange(start, stop))
-        # no name holds the raw words, so they are freed before any curve synthesizes
-        idx = _raw_indices(np.array([rng.bit_generator.random_raw((n_max + 1) // 2)
-                                     for rng in streams]), n_max, constellation.m)
-        for n, scheme in pairs:
-            # one curve's blocks are freed before the next curve synthesizes its own
-            exceed[n, scheme] += _exceed_counts(synthesis[n, scheme](points[idx[:, :n]]),
-                                                thresholds_db)
+        rows = min(_CCDF_CHUNK, trials - start)
+        chunk = raw[:rows]
+        for r, rng in enumerate(_key_streams(seed, np.arange(start, start + rows))):
+            chunk[r] = rng.bit_generator.random_raw(chunk.shape[1])
+        for n, by_scheme in synthesis.items():
+            # rows per tile; where RPSDM takes the gemm, the whole chunk
+            gemm = Scheme.RPSDM in by_scheme and not is_power_of_two(n)
+            height = rows if gemm else max(1, _CCDF_TILE // n)
+            for lo in range(0, rows, height):
+                # each row's first N indices of its draw at the largest N,
+                # gathered once for every scheme
+                words = chunk[lo:lo + height, :(n + 1) // 2]
+                symbols = points[_raw_indices(words, n, constellation.m)]
+                for scheme, synthesize in by_scheme.items():
+                    exceed[n, scheme] += _exceed_counts(synthesize(symbols), thresholds_db)
     curves = []
     for n in n_list:
         for scheme in schemes:

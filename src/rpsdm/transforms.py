@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -138,9 +138,11 @@ def synthesize_by_subspaces(transform: PeriodicTransform, symbols: np.ndarray) -
     return x
 
 
+@cache
 def _haar_weights(n: int) -> np.ndarray:
     """The column weights of ``forward`` at N = 2^k, one per symbol: 1/sqrt(N)
-    for q = 1, and c_2h's value h times q_norm = sqrt(h/N) on [h, 2h)."""
+    for q = 1, and c_2h's value h times q_norm = sqrt(h/N) on [h, 2h).
+    Built once per N and shared, so the array is read-only."""
     if not is_power_of_two(n):
         raise ValueError(f"Haar butterfly requires a power-of-two length, got {n}")
     weights = np.empty(n)
@@ -149,6 +151,7 @@ def _haar_weights(n: int) -> np.ndarray:
     while h < n:
         weights[h:2 * h] = h * (1.0 / np.sqrt(n * h))
         h *= 2
+    weights.flags.writeable = False
     return weights
 
 

@@ -86,6 +86,10 @@ RUNS = {
     "papr-ccdf-seed-2e32-json": ["papr-ccdf", "--n", "8,64", "--m", "16", "--trials", "700",
                                  "--seed", "4294967296", "--format", "json",
                                  "--output", "ccdf.json"],
+    # gemm lengths, a 1-row chunk tail (2049 = 2048 + 1) and N=512, whose
+    # chunk the CCDF engine walks in several row tiles
+    "papr-ccdf-tiles": ["papr-ccdf", "--n", "12,96,512", "--m", "16", "--trials", "2049",
+                        "--seed", "43", "--thresholds", "0:12:0.5", "--output", "ccdf.csv"],
     "dump-basis": ["dump-basis", "--n", "16", "--output", "basis"],
     "papr-worst": ["papr-worst", "--n", "8,16,32,64,128,256,512", "--m", "16",
                    "--output", "worst.csv"],
@@ -182,6 +186,10 @@ GOLDEN = {
     'papr-ccdf-seed-2e32-json': {
         'stdout': 'e22edebf4ad8bd97ad067b4cea334109ce344bb10a997e4cad8cb84776f2692d',
         'ccdf.json': 'd3cc3fdc310da3d05a08ac090276c3672d554298171081cafdd5c3938575c7af',
+    },
+    'papr-ccdf-tiles': {
+        'stdout': 'e618cc0070808f03b9b593fcfdd026387a713e62efa2021ea93636b7f3e75b4b',
+        'ccdf.csv': '83c8043ce98a4c81001970300343eeb0448548f8f81d7c21e9a23842de1c2ecd',
     },
     'papr-worst': {
         'stdout': '353696ad3ec1a13b70b407e93df35def1aee2a74d4fc97d713af290615c3e397',

@@ -1,6 +1,7 @@
 """Tests for PAPR statistics, Monte Carlo curves, and complexity reporting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from rpsdm.channel import (ChannelRealization, add_cp, awgn, draw_channel, effec
                            remove_cp, transmit)
 from rpsdm.detection import (Detector, DetectorSpec, QamConstellation, SingularChannelError,
                              equalize, qam_demap, qam_map)
-from rpsdm.metrics import (_CCDF_CHUNK, _ber_draws, ber_curve, ber_curves, ccdf_crossing,
-                           complexity_report, gamma_coefficient, noise_variance, papr,
-                           papr_ccdf, papr_ccdfs, papr_db, worst_case_papr)
+from rpsdm.metrics import (_CCDF_CHUNK, _CCDF_TILE, _ber_draws, ber_curve, ber_curves,
+                           ccdf_crossing, complexity_report, gamma_coefficient,
+                           noise_variance, papr, papr_ccdf, papr_ccdfs, papr_db,
+                           worst_case_papr)
 from rpsdm.number_theory import divisor_set, totient
 from rpsdm.streams import _key_streams, _raw_indices
 from rpsdm.transforms import Scheme, demodulate, make_plan, modulate
@@ -25,6 +27,7 @@ PRIMES_TO_97 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
 
 QAM16 = QamConstellation.from_order(16)
+SCHEMES = (Scheme.OFDM, Scheme.RPSDM)
 
 
 def measured_worst_case_db(scheme: Scheme, n: int, qam: QamConstellation) -> float:
@@ -112,11 +115,34 @@ class TestPaprCcdf:
             curve = papr_ccdf(scheme, 16, QAM16, grid, 3000, seed=2)
             assert (np.diff(curve.values) <= 0).all()
 
-    def test_deterministic_and_chunk_independent(self):
-        grid = np.arange(0.0, 12.0, 1.0)
-        a = papr_ccdf(Scheme.RPSDM, 8, QAM16, grid, 2500, seed=3)
-        b = papr_ccdf(Scheme.RPSDM, 8, QAM16, grid, 2500, seed=3)
-        np.testing.assert_array_equal(a.values, b.values)
+    def test_deterministic_and_chunk_independent(self, monkeypatch):
+        grid = np.arange(0.0, 12.0, 0.5)
+        calls = [
+            (SCHEMES, (8, 12)),  # OFDM, RPSDM's butterfly (N=8) and its gemm (N=12)
+            ((Scheme.OFDM,), (12, 64)),  # the ifft in tiles at any N
+        ]
+        expected = [papr_ccdfs(schemes, n_list, QAM16, grid, 2100, seed=3)
+                    for schemes, n_list in calls]
+        for chunk in (1, 7, _CCDF_CHUNK):
+            for tile in (1, 777, _CCDF_TILE):
+                monkeypatch.setattr(rpsdm.metrics, "_CCDF_CHUNK", chunk)
+                monkeypatch.setattr(rpsdm.metrics, "_CCDF_TILE", tile)
+                for (schemes, n_list), want in zip(calls, expected):
+                    got = papr_ccdfs(schemes, n_list, QAM16, grid, 2100, seed=3)
+                    got = [c.values.tobytes() for c in got]
+                    assert got == [c.values.tobytes() for c in want], (chunk, tile, n_list)
+
+    def test_never_holds_a_chunk_of_blocks(self):
+        # one (2048, 2048) complex128 block array is 64 MiB; row tiles keep a
+        # job's traced peak to the chunk's raw words (16 MiB) and a few tiles
+        grid = np.arange(0.0, 12.0, 0.5)
+        tracemalloc.start()
+        try:
+            papr_ccdfs(SCHEMES, (2048,), QAM16, grid, 2048, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_confidence_band_contains_estimate(self):
         curve = papr_ccdf(Scheme.OFDM, 8, QAM16, np.arange(0, 12.0), 2000, seed=4)
@@ -318,7 +344,6 @@ class TestBerCurve:
             ber_curves((Scheme.OFDM,), (), 8, 2, QAM16, np.array([5.0]), 1, 0)
 
 
-SCHEMES = (Scheme.OFDM, Scheme.RPSDM)
 DETECTORS = (Detector.ZF, Detector.MMSE)
 
 

@@ -191,6 +191,15 @@ class TestHaarSynthesis:
         with pytest.raises(ValueError, match="power-of-two"):
             haar_synthesis(np.ones(n, dtype=complex))
 
+    @pytest.mark.parametrize("n", [1, 2, 512])
+    def test_weights_are_cached_read_only(self, n):
+        # one weight array per N serves every call, so no caller may write it
+        weights = rpsdm.transforms._haar_weights(n)
+        assert rpsdm.transforms._haar_weights(n) is weights
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 0.0
+
 
 class TestHaarAnalysis:
     """The transpose butterfly against the dense product ``e_r @ v``."""
