@@ -195,6 +195,8 @@ def _multipath_count(args, n: int) -> int:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return format(value, ".17g")
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
@@ -248,22 +250,24 @@ def _table_files(args, header: list[str], rows: list[list], payload: dict) -> di
 
 def _curve_files(args, config: dict, curves: list, header: list[str]) -> dict[str, str]:
     """One CSV row per curve point, led by the identity columns (every header
-    entry before grid, value, ci_low, ci_high); one JSON entry per curve."""
-    rows = []
-    payload = {"command": args.command, "config": config, "curves": []}
-    for curve in curves:
-        echo = curve.config_echo()
-        identity = [echo[key] for key in header[:-4]]
-        rows.extend(identity + list(point) for point in
-                    zip(curve.grid, curve.values, curve.ci_low, curve.ci_high))
-        payload["curves"].append({
-            "config": echo,
+    entry before grid, value, ci_low, ci_high); one JSON entry per curve.
+    Only the requested format is built."""
+    rows, payload = [], None
+    if _resolve(args, "format", default="csv") == "json":
+        payload = {"command": args.command, "config": config, "curves": [{
+            "config": curve.config_echo(),
             "grid": [float(v) for v in curve.grid],
             "values": [float(v) for v in curve.values],
             "ci_low": [float(v) for v in curve.ci_low],
             "ci_high": [float(v) for v in curve.ci_high],
             "metadata": curve.metadata,
-        })
+        } for curve in curves]}
+    else:
+        for curve in curves:
+            echo = curve.config_echo()
+            identity = [echo[key] for key in header[:-4]]
+            columns = (curve.grid, curve.values, curve.ci_low, curve.ci_high)
+            rows.extend(identity + list(point) for point in zip(*(c.tolist() for c in columns)))
     return _table_files(args, header, rows, payload)
 
 

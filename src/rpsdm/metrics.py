@@ -2,13 +2,13 @@
 
 Monte Carlo determinism: every trial draws from its own stream keyed by
 (master seed, curve point index, trial index, attempt), so curves are
-bit-identical regardless of chunking. One BER engine (``ber_curves``) runs
-every requested receiver on the same draws: each (point, trial) row's stream
-draws its taps, bits and frame noise once, in three generator calls
-(``_ber_draws``). The engine runs the channel on
-the frame spectrum: a CP of L-1 samples makes the channel circular, so the
-unitary spectrum of the CP-stripped received block is the per-bin product
-Y = H X + fft(w[L-1:], norm="ortho"), with H the DFT of the taps (the
+bit-identical regardless of chunking, but for the CCDF's gemm case below.
+One BER engine (``ber_curves``) runs every requested receiver on the same
+draws: each (point, trial) row's stream draws its taps, bits and frame
+noise once, in three generator calls (``_ber_draws``). The engine runs the
+channel on the frame spectrum: a CP of L-1 samples makes the channel
+circular, so the unitary spectrum of the CP-stripped received block is the
+per-bin product Y = H X + fft(w[L-1:], norm="ortho"), with H the DFT of the taps (the
 effective channel's gains), X the unitary spectrum of the transmitted block
 and w the frame noise. X is the symbols themselves for OFDM. For RPSDM it
 is the spectrum of the synthesis the CCDF engine uses (``_fast_synthesis``):
@@ -38,11 +38,16 @@ The indices ``integers(0, m, N)`` would draw are read straight from each
 stream's raw 64-bit words (m is a power of two), held for a chunk in one
 array. Each N walks the chunk in row tiles of ``_CCDF_TILE // N`` rows, so
 a tile's symbols and blocks stay in cache: a tile gathers its symbols once,
-and each curve synthesizes and scores its blocks once per tile. OFDM
-synthesizes by the unitary ifft and RPSDM at power-of-two N by the O(N)
-Haar butterfly, with no plan, both row-exact at any tile height. RPSDM at
-other N takes a real gemm on its basis, whose 1-row product (a gemv) rounds
-differently, so at such N the tile is the whole chunk.
+and each curve synthesizes its blocks and writes their PAPRs into a
+chunk-long buffer once per tile. Each curve then counts the chunk's PAPRs
+above every threshold at once, from their sorted order. OFDM synthesizes by
+the unitary ifft and RPSDM at power-of-two N by the O(N) Haar butterfly,
+with no plan, both row-exact at any tile height. RPSDM at other N takes a
+real gemm on its basis, whose 1-row product (a gemv) rounds differently, so
+at such N the tile is the whole chunk. A 1-row chunk (a trial count one more
+than a multiple of ``_CCDF_CHUNK``) is still a gemv there, so at such N a
+block whose PAPR lies within that rounding (up to 2.2e-15 at N = 360) of a
+threshold could count differently under another chunk size.
 
 Every stream of both engines is the one ``np.random.default_rng(key)``
 gives, but neither engine seeds one per row: ``streams._key_streams``
@@ -180,11 +185,14 @@ def _ccdf_synthesis(scheme: Scheme, n: int):
     return lambda symbols: symbols.real @ forward_t + 1j * (symbols.imag @ forward_t)
 
 
-def _exceed_counts(blocks: np.ndarray, thresholds_db: np.ndarray) -> np.ndarray:
-    """How many of the (rows, N) blocks have a PAPR above each threshold."""
-    power = np.abs(blocks) ** 2
-    ratios_db = 10.0 * np.log10(power.max(axis=1) / power.mean(axis=1))
-    return (ratios_db[:, None] > thresholds_db[None, :]).sum(axis=0)
+def _papr_db(blocks: np.ndarray) -> np.ndarray:
+    """The PAPR in dB of each row of (rows, N) blocks in any memory order.
+    The power is made row-contiguous before the row mean: numpy sums a
+    contiguous row pairwise, so a row's value does not depend on the batch's
+    layout."""
+    power = np.abs(blocks, order="C")
+    np.square(power, out=power)
+    return 10.0 * np.log10(power.max(axis=1) / power.mean(axis=1))
 
 
 def papr_ccdfs(schemes, n_list, constellation: QamConstellation,
@@ -198,7 +206,13 @@ def papr_ccdfs(schemes, n_list, constellation: QamConstellation,
     prefix of that draw, which is what a draw of its own length from the
     same stream gives. So each curve equals its own ``papr_ccdf`` call.
     Blocks are synthesized once per row tile of a chunk (see the module
-    docstring), and a curve does not depend on the chunk or tile size.
+    docstring). Each curve counts a chunk's blocks above every threshold at
+    once: the chunk's rows less the threshold's right insertion point in
+    the sorted PAPRs, which is a strict ">" count for thresholds in any
+    order. A curve does not depend on the chunk or tile size, but for one
+    case: RPSDM at non-power-of-two N synthesizes a 1-row chunk by gemv,
+    which can round differently (by up to 2.2e-15 at N = 360), so there a
+    block whose PAPR lies that close to a threshold could count differently.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -213,6 +227,7 @@ def papr_ccdfs(schemes, n_list, constellation: QamConstellation,
     exceed = {(n, scheme): np.zeros(thresholds_db.shape[0], dtype=np.int64)
               for n in n_list for scheme in schemes}
     raw = np.empty((min(trials, _CCDF_CHUNK), (max(n_list) + 1) // 2), dtype=np.uint64)
+    ratios = {scheme: np.empty(raw.shape[0]) for scheme in schemes}
     for start in range(0, trials, _CCDF_CHUNK):
         rows = min(_CCDF_CHUNK, trials - start)
         chunk = raw[:rows]
@@ -223,12 +238,16 @@ def papr_ccdfs(schemes, n_list, constellation: QamConstellation,
             gemm = Scheme.RPSDM in by_scheme and not is_power_of_two(n)
             height = rows if gemm else max(1, _CCDF_TILE // n)
             for lo in range(0, rows, height):
+                hi = min(lo + height, rows)
                 # each row's first N indices of its draw at the largest N,
                 # gathered once for every scheme
-                words = chunk[lo:lo + height, :(n + 1) // 2]
+                words = chunk[lo:hi, :(n + 1) // 2]
                 symbols = points[_raw_indices(words, n, constellation.m)]
                 for scheme, synthesize in by_scheme.items():
-                    exceed[n, scheme] += _exceed_counts(synthesize(symbols), thresholds_db)
+                    ratios[scheme][lo:hi] = _papr_db(synthesize(symbols))
+            for scheme in by_scheme:
+                ranked = np.sort(ratios[scheme][:rows])
+                exceed[n, scheme] += rows - np.searchsorted(ranked, thresholds_db, side="right")
     curves = []
     for n in n_list:
         for scheme in schemes:

@@ -113,10 +113,11 @@ def _key_streams(*key):
     next row's state before each yield, so take a row's draws before asking
     for the next."""
     rng = np.random.Generator(np.random.PCG64(0))
-    for state, inc in _pcg64_states(key):
-        rng.bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
+    # one state dict, refilled per row: the setter copies it into the generator
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for pcg["state"], pcg["inc"] in _pcg64_states(key):
+        rng.bit_generator.state = state
         yield rng
 
 

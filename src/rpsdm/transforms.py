@@ -12,8 +12,9 @@ non-power-of-two N.
 dense route must agree with; ``sparse_irpt`` also carries the sparse op
 count. At power-of-two N, RPSDM needs no N x N matrix: ``haar_synthesis``
 (``forward @ s``) and ``haar_analysis`` (``e_r @ v``) are an O(N) butterfly
-and its transpose, run row by row on (rows, N) batches by both engines and
-by the per-bin equalizer.
+and its transpose, run by both engines and the per-bin equalizer on
+(rows, N) batches. They work sample-major: a batch is copied to a C-ordered
+(N, rows) array, so each butterfly stage adds two contiguous blocks.
 
 Flop counters reproduce the published closed forms under one fixed costing:
 a complex*complex multiply is 4 real multiplies + 2 real adds, a complex add
@@ -157,12 +158,13 @@ def _haar_weights(n: int) -> np.ndarray:
 
 def _butterfly(x: np.ndarray, reverse: bool = False) -> np.ndarray:
     """For h = 1, 2, ..., N/2 in turn (the reverse order if ``reverse``),
-    replace the first 2h entries of x's last axis, [a, b] with a = x[:h] and
-    b = x[h:2h], by [a + b, a - b]; in place, 2h adds per stage."""
-    spans = [1 << i for i in range(x.shape[-1].bit_length() - 1)]
-    spare = np.empty_like(x[..., :x.shape[-1] // 2])
+    replace the first 2h entries of x's first axis, [a, b] with a = x[:h] and
+    b = x[h:2h], by [a + b, a - b]; in place, 2h adds per stage. On a
+    C-ordered (N, rows) array each stage's a and b are contiguous blocks."""
+    spans = [1 << i for i in range(x.shape[0].bit_length() - 1)]
+    spare = np.empty_like(x[:x.shape[0] // 2])
     for h in reversed(spans) if reverse else spans:
-        head, tail, diff = x[..., :h], x[..., h:2 * h], spare[..., :h]
+        head, tail, diff = x[:h], x[h:2 * h], spare[:h]
         np.subtract(head, tail, out=diff)
         head += tail
         tail[...] = diff
@@ -179,9 +181,12 @@ def haar_synthesis(symbols: np.ndarray) -> np.ndarray:
     x_1 = s[0]/sqrt(N), x_2h = [x_h + t_h, x_h - t_h] with
     t_h = sqrt(h/N) * s[h:2h]. The weights are the entries of ``forward``
     bit for bit, so each product equals the dense route's; only the order
-    of the adds differs."""
+    of the adds differs. The stages run sample-major on a C-ordered
+    (N, rows) copy, and a batch's result is that copy's transposed view."""
     symbols = np.asarray(symbols)
-    return _butterfly(symbols * _haar_weights(symbols.shape[-1]))
+    # one weight per sample-major row, against every column
+    weights = _haar_weights(symbols.shape[-1]).reshape((-1,) + (1,) * (symbols.ndim - 1))
+    return _butterfly(np.multiply(symbols.T, weights, order="C")).T
 
 
 def haar_analysis(block: np.ndarray) -> np.ndarray:
@@ -189,13 +194,12 @@ def haar_analysis(block: np.ndarray) -> np.ndarray:
     (rows, N) batch: N scalings and 2(N-1) adds. There e_r = forward^T, and
     ``haar_synthesis`` is a diagonal scaling followed by symmetric butterfly
     stages, so this runs the stages in reverse order and scales last. Real
-    input gives a real result."""
+    input gives a real result, in C-ordered rows."""
     block = np.asarray(block)
     weights = _haar_weights(block.shape[-1])
-    # astype copies, so the in-place stages leave the caller's block alone
-    x = _butterfly(block.astype(np.result_type(block.dtype, np.float64)), reverse=True)
-    x *= weights
-    return x
+    # a sample-major copy, so the in-place stages leave the caller's block alone
+    x = block.T.astype(np.result_type(block.dtype, np.float64), order="C")
+    return np.multiply(_butterfly(x, reverse=True).T, weights, order="C")
 
 
 def _fft_flops(n: int) -> FlopCount:

@@ -90,6 +90,11 @@ RUNS = {
     # chunk the CCDF engine walks in several row tiles
     "papr-ccdf-tiles": ["papr-ccdf", "--n", "12,96,512", "--m", "16", "--trials", "2049",
                         "--seed", "43", "--thresholds", "0:12:0.5", "--output", "ccdf.csv"],
+    # N=2 at 64-QAM puts many blocks exactly on the 0 dB threshold, so the
+    # count there must stay a strict ">"; 2049 trials leave a 1-row chunk,
+    # and N=512 spans several row tiles
+    "papr-ccdf-ties": ["papr-ccdf", "--n", "2,8,512", "--m", "64", "--trials", "2049",
+                       "--seed", "17", "--thresholds", "0:12:0.5", "--output", "ccdf.csv"],
     "dump-basis": ["dump-basis", "--n", "16", "--output", "basis"],
     "papr-worst": ["papr-worst", "--n", "8,16,32,64,128,256,512", "--m", "16",
                    "--output", "worst.csv"],
@@ -190,6 +195,10 @@ GOLDEN = {
     'papr-ccdf-tiles': {
         'stdout': 'e618cc0070808f03b9b593fcfdd026387a713e62efa2021ea93636b7f3e75b4b',
         'ccdf.csv': '83c8043ce98a4c81001970300343eeb0448548f8f81d7c21e9a23842de1c2ecd',
+    },
+    'papr-ccdf-ties': {
+        'stdout': '5592ea648783613339ab16d1eb50dcf2b45b6cec88fa24a5f8ea433d35f13d49',
+        'ccdf.csv': '08336b854ca6c4b7756da03fee38ad59fc40565b51dad6db1f9734ec13d7eea3',
     },
     'papr-worst': {
         'stdout': '353696ad3ec1a13b70b407e93df35def1aee2a74d4fc97d713af290615c3e397',

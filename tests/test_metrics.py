@@ -15,10 +15,10 @@ from rpsdm.channel import (ChannelRealization, add_cp, awgn, draw_channel, effec
                            remove_cp, transmit)
 from rpsdm.detection import (Detector, DetectorSpec, QamConstellation, SingularChannelError,
                              equalize, qam_demap, qam_map)
-from rpsdm.metrics import (_CCDF_CHUNK, _CCDF_TILE, _ber_draws, ber_curve, ber_curves,
-                           ccdf_crossing, complexity_report, gamma_coefficient,
-                           noise_variance, papr, papr_ccdf, papr_ccdfs, papr_db,
-                           worst_case_papr)
+from rpsdm.metrics import (_CCDF_CHUNK, _CCDF_TILE, _ber_draws, _ccdf_synthesis, _papr_db,
+                           ber_curve, ber_curves, ccdf_crossing, complexity_report,
+                           gamma_coefficient, noise_variance, papr, papr_ccdf, papr_ccdfs,
+                           papr_db, worst_case_papr)
 from rpsdm.number_theory import divisor_set, totient
 from rpsdm.streams import _key_streams, _raw_indices
 from rpsdm.transforms import Scheme, demodulate, make_plan, modulate
@@ -131,6 +131,42 @@ class TestPaprCcdf:
                     got = papr_ccdfs(schemes, n_list, QAM16, grid, 2100, seed=3)
                     got = [c.values.tobytes() for c in got]
                     assert got == [c.values.tobytes() for c in want], (chunk, tile, n_list)
+
+    @pytest.mark.parametrize("chunk", [1, 7, _CCDF_CHUNK])
+    def test_counts_equal_a_strict_count_of_each_block(self, monkeypatch, chunk):
+        # N=2 at 64-QAM puts many blocks exactly on 0 dB; N=8 and 64 take
+        # RPSDM's butterfly, N=12 its gemm, and OFDM the ifft at every N.
+        # The thresholds hold some blocks' exact PAPRs, repeated and unsorted
+        monkeypatch.setattr(rpsdm.metrics, "_CCDF_CHUNK", chunk)
+        qam = QamConstellation.from_order(64)
+        n_list, trials, seed = (2, 8, 12, 64), 150, 61
+        ratios = {}
+        for n in n_list:
+            idx = np.array([np.random.default_rng([seed, t]).integers(0, 64, n)
+                            for t in range(trials)])
+            for scheme in SCHEMES:
+                synthesize = _ccdf_synthesis(scheme, n)
+                ratios[n, scheme] = np.concatenate(
+                    [_papr_db(synthesize(qam.points[idx[lo:lo + chunk]]))
+                     for lo in range(0, trials, chunk)])
+        exact = np.concatenate([ratios[n, Scheme.RPSDM][:3] for n in n_list])
+        thresholds = np.concatenate([[6.0, 0.0, 0.0, 3.5], exact, exact[::-1], [-1.0, 20.0]])
+        curves = papr_ccdfs(SCHEMES, n_list, qam, thresholds, trials, seed)
+        for curve in curves:
+            ratio = ratios[curve.n, curve.scheme]
+            want = (ratio[:, None] > thresholds[None, :]).sum(axis=0) / trials
+            assert curve.values.tobytes() == want.tobytes(), (curve.n, curve.scheme)
+        # the ties are real: some blocks sit exactly on a threshold
+        assert (ratios[2, Scheme.OFDM] == 0.0).any()
+
+    def test_papr_does_not_depend_on_the_batch_layout(self):
+        # a transposed (F-ordered) batch, as the butterfly returns, gives each
+        # row the bytes of its C copy: the row mean sums a contiguous row
+        rng = np.random.default_rng(67)
+        for n, rows in ((64, 300), (512, 40)):
+            c_batch = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+            f_batch = np.asfortranarray(c_batch)
+            assert _papr_db(f_batch).tobytes() == _papr_db(c_batch).tobytes()
 
     def test_never_holds_a_chunk_of_blocks(self):
         # one (2048, 2048) complex128 block array is 64 MiB; row tiles keep a

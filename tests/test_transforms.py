@@ -182,9 +182,11 @@ class TestHaarSynthesis:
     @pytest.mark.parametrize("n", [1, 8, 256])
     def test_batch_rows_equal_one_dimensional_calls(self, n):
         batch = np.stack([random_symbols(n, 500 * n + r) for r in range(4)])
-        got = haar_synthesis(batch)
-        assert got.shape == batch.shape
-        assert got.tobytes() == np.stack([haar_synthesis(row) for row in batch]).tobytes()
+        expected = np.stack([haar_synthesis(row) for row in batch]).tobytes()
+        for ordered in (batch, np.asfortranarray(batch)):
+            got = haar_synthesis(ordered)
+            assert got.shape == batch.shape
+            assert got.tobytes() == expected
 
     @pytest.mark.parametrize("n", [3, 6, 12, 96])
     def test_rejects_non_power_of_two(self, n):
@@ -220,9 +222,12 @@ class TestHaarAnalysis:
     @pytest.mark.parametrize("n", [1, 8, 256])
     def test_batch_rows_equal_one_dimensional_calls(self, n):
         batch = np.stack([random_symbols(n, 700 * n + r) for r in range(4)])
-        got = haar_analysis(batch)
-        assert got.shape == batch.shape
-        assert got.tobytes() == np.stack([haar_analysis(row) for row in batch]).tobytes()
+        expected = np.stack([haar_analysis(row) for row in batch]).tobytes()
+        for ordered in (batch, np.asfortranarray(batch)):
+            got = haar_analysis(ordered)
+            assert got.shape == batch.shape
+            assert got.flags.c_contiguous
+            assert got.tobytes() == expected
 
     @pytest.mark.parametrize("n", [1, 2, 64, 2048])
     def test_inverts_the_synthesis(self, n):
