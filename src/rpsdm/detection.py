@@ -6,14 +6,14 @@ divisor block for the subspace scheme. Subspace q lives on the DFT bins
 supp(q), so an RPSDM block is A_q^{-1} diag(H_q) A_q with A_q the fixed map
 F[supp q] @ forward[:, block q]. One core, ``equalize_spectrum``, serves
 every scheme, detector and N from the unitary spectrum Y of the received
-time-domain block r (CP removed), Y = fft(r, norm="ortho"). ZF (any N) and
-MMSE with A_q^H A_q = N I (exactly when N is a power of two) reduce to
-OFDM's per-bin weights W = H* / (|H|^2 + zeta) between fixed maps, with no
-block matrix formed: OFDM's estimate is W * Y, RPSDM's is
-e_r @ ifft(W * Y, norm="ortho"), with ``haar_analysis`` as e_r at
-power-of-two N. MMSE at other N solves each block's regularized normal
-equations on sqrt(N) * Y[supp q] = A_q y_q (``_block_mmse``), forming no
-block of the channel. ``equalize`` takes the demodulated block y instead,
+time-domain block r (CP removed), Y = fft(r, norm="ortho"). OFDM's estimate
+is W * Y with the per-bin weights W = H* / (|H|^2 + zeta). At power-of-two
+N, where A_q^H A_q = N I, RPSDM's is e_r @ ifft(W * Y, norm="ortho") with
+``haar_analysis`` as e_r. At other N every RPSDM block works on
+sqrt(N) * Y[supp q] = A_q y_q (``_block_equalize``): ZF inverts the fixed
+map, A_q^{-1} (sqrt(N) * Y[supp q] / H[supp q]), and MMSE solves the
+block's regularized normal equations; neither forms a block of the channel
+or reads the dense pair. ``equalize`` takes the demodulated block y instead,
 which is OFDM's Y itself; for RPSDM it rebuilds r = forward @ y and takes
 its spectrum. Every channel is given by its gains on the normalized basis.
 Bit labels use Gray coding per axis; ``qam_map`` and ``qam_demap`` work on
@@ -120,38 +120,40 @@ def equalize_spectrum(spec: DetectorSpec, eff: EffectiveChannel,
     _check_normalized(eff)
     spectrum = np.asarray(spectrum)
     _check_shape(eff, spectrum)
-    gains, t = eff.gains, eff.transform
+    gains = eff.gains
     zeta = _row_zeta(spec)
-    if eff.scheme is Scheme.RPSDM and spec.kind is Detector.MMSE and not t.transpose_path:
-        return _block_mmse(eff, np.sqrt(eff.n) * spectrum, zeta)
     denom = np.abs(gains) ** 2 + zeta
     if not denom.all():  # only ZF (zeta = 0) can hit a zero
         raise _zero_gain_error(eff.scheme, denom == 0.0)
     if eff.scheme is Scheme.OFDM:
         return np.conj(gains) * spectrum / denom
-    block = np.fft.ifft(np.conj(gains) / denom * spectrum, norm="ortho")
-    return haar_analysis(block) if t.transpose_path else _real_matvec(t.e_r, block)
+    if eff.transform.transpose_path:
+        return haar_analysis(np.fft.ifft(np.conj(gains) / denom * spectrum, norm="ortho"))
+    return _block_equalize(spec.kind, eff, np.sqrt(eff.n) * spectrum, zeta)
 
 
-def _block_mmse(eff: EffectiveChannel, v: np.ndarray, zeta) -> np.ndarray:
-    """RPSDM-MMSE where A_q^H A_q != N I (non-power-of-two N), from the
+def _block_equalize(kind: Detector, eff: EffectiveChannel, v: np.ndarray, zeta) -> np.ndarray:
+    """RPSDM where A_q^H A_q != N I (non-power-of-two N), from the
     unnormalized spectrum v = fft(r): block q sees v[supp q] = D A_q x_q plus
-    noise with D = diag(H[supp q]), so with G^{-1} = (A_q A_q^H)^{-1} it
-    solves (D* G^{-1} D + zeta G^{-1}) z = D* G^{-1} v[supp q] and returns
-    x_q = A_q^{-1} z, the block's regularized normal equations."""
+    noise with D = diag(H[supp q]). Both return x_q = A_q^{-1} z: ZF with
+    z = v[supp q] / H[supp q], MMSE with z solving the regularized normal
+    equations (D* G^{-1} D + zeta G^{-1}) z = D* G^{-1} v[supp q]."""
     out = np.empty(v.shape, dtype=np.complex128)
+    ratio = v / eff.gains if kind is Detector.ZF else None  # ZF's z on every bin
     if np.ndim(zeta):
         zeta = zeta[..., None]  # one regularizer per row's phi x phi system
     for (q, phi, offset), m in zip(eff.layout.blocks(), eff.transform.subspace_maps):
-        g_inv = m.a_inv.conj().T @ m.a_inv
-        h = eff.gains[..., m.bins]
-        lhs = np.conj(h)[..., :, None] * g_inv * h[..., None, :] + zeta * g_inv
-        rhs = np.conj(h)[..., None] * (g_inv @ v[..., m.bins, None])
-        try:  # a system can be singular in floating point at an extreme SNR
-            z = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularChannelError(f"singular block for divisor q={q} (size {phi})",
-                                       where=f"q={q}") from exc
+        if ratio is not None:
+            z = ratio[..., m.bins, None]
+        else:
+            h = eff.gains[..., m.bins]
+            lhs = np.conj(h)[..., :, None] * m.g_inv * h[..., None, :] + zeta * m.g_inv
+            rhs = np.conj(h)[..., None] * (m.g_inv @ v[..., m.bins, None])
+            try:  # a system can be singular in floating point at an extreme SNR
+                z = np.linalg.solve(lhs, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise SingularChannelError(f"singular block for divisor q={q} (size {phi})",
+                                           where=f"q={q}") from exc
         out[..., offset:offset + phi] = (m.a_inv @ z)[..., 0]
     return out
 

@@ -11,17 +11,15 @@ circular, so the unitary spectrum of the CP-stripped received block is the
 per-bin product Y = H X + fft(w[L-1:], norm="ortho"), with H the DFT of the taps (the
 effective channel's gains), X the unitary spectrum of the transmitted block
 and w the frame noise. X is the symbols themselves for OFDM. For RPSDM it
-is the spectrum of the synthesis the CCDF engine uses (``_fast_synthesis``):
-the O(N) Haar butterfly at power-of-two N, and ``modulate``'s row-exact
-product at other N. The time-domain chain ``add_cp``, ``transmit`` and
-``remove_cp`` stays the library route and the engine's test oracle; no row
-runs it. Each (scheme, detector) receiver then equalizes Y through
-``equalize_spectrum``, RPSDM-MMSE's block solves at non-power-of-two N
-included, and demaps; ``forward @ e_r = I`` makes Y the spectrum that
-``equalize`` would rebuild from the demodulated block, so no receiver
-demodulates. At power-of-two N a trial therefore runs no N x N product, and
-a job builds no N x N matrix: the RPSDM plan's transform builds its dense
-pair only when read, and only other N read it.
+is the fft of the O(N) Haar butterfly's block at power-of-two N, and at
+other N the per-subspace spectrum X[supp q] = A_q s_q / sqrt(N)
+(``PeriodicTransform.spectrum``). The time-domain chain ``add_cp``,
+``transmit`` and ``remove_cp`` stays the library route and the engine's
+test oracle; no row runs it. Each (scheme, detector) receiver equalizes Y
+through ``equalize_spectrum``, per bin or per divisor block, and demaps;
+``forward @ e_r = I`` makes Y the spectrum that ``equalize`` would rebuild
+from the demodulated block, so no receiver demodulates. So at any N a trial
+runs no N x N product and a BER job builds no N x N matrix.
 Every stage runs once per chunk of rows on (rows, N) arrays, giving each row
 the bytes of its own 1-D call, so a curve does not depend on the chunk size,
 on which rows share a batch, or on which other receivers run beside it. A
@@ -68,11 +66,11 @@ from .detection import (Detector, DetectorSpec, QamConstellation, SingularChanne
 from .number_theory import divisor_set, is_power_of_two, totient
 from .ramanujan import ramanujan_sum
 from .streams import _key_streams, _raw_indices
-from .transforms import Scheme, direct_flops, fast_flops, haar_synthesis, make_plan, modulate
+from .transforms import Scheme, direct_flops, fast_flops, haar_synthesis, make_plan
 # unused here: the benchmark tracer (bench/spans.py) looks these up in this module
 from .channel import add_cp, remove_cp, transmit  # noqa: F401
 from .detection import equalize  # noqa: F401
-from .transforms import demodulate  # noqa: F401
+from .transforms import demodulate, modulate  # noqa: F401
 
 #: binomial 95% confidence half-width multiplier
 _CI_Z = 1.96
@@ -164,22 +162,14 @@ def _binomial_ci(values: np.ndarray, trials: int) -> tuple[np.ndarray, np.ndarra
     return np.clip(values - half, 0.0, 1.0), np.clip(values + half, 0.0, 1.0)
 
 
-def _fast_synthesis(scheme: Scheme, n: int):
-    """The block synthesis of (rows, N) symbols with no N x N matrix, shared
-    by both engines: OFDM's unitary ifft at every N, and the Haar butterfly
-    for RPSDM at power-of-two N. None for RPSDM at other N, whose synthesis
-    needs its basis."""
+def _ccdf_synthesis(scheme: Scheme, n: int):
+    """The synthesis of (rows, N) symbols for one CCDF curve: OFDM's ifft,
+    RPSDM's Haar butterfly at power-of-two N, and else the real gemm on the
+    dense basis, the fastest route per row there and its only engine use."""
     if scheme is Scheme.OFDM:
         return lambda symbols: np.fft.ifft(symbols, norm="ortho")
-    return haar_synthesis if is_power_of_two(n) else None
-
-
-def _ccdf_synthesis(scheme: Scheme, n: int):
-    """The block synthesis of one CCDF curve: ``_fast_synthesis``, or else
-    the real gemm on the basis."""
-    fast = _fast_synthesis(scheme, n)
-    if fast is not None:
-        return fast
+    if is_power_of_two(n):
+        return haar_synthesis
     forward_t = make_plan(scheme, n).forward.T.copy()
     # real basis: two real gemms cost half of one complex gemm
     return lambda symbols: symbols.real @ forward_t + 1j * (symbols.imag @ forward_t)
@@ -333,8 +323,8 @@ def _ber_trial(receivers, constellation, l: int, sigma2: np.ndarray, seed: int,
     ``Y = H X + fft(w[l-1:], norm="ortho")``: H the DFT of the taps
     (``effective_channel``'s gains), X the unitary spectrum of the
     transmitted block and w the frame noise, whose spectrum every scheme
-    shares. X is the symbols for OFDM, and for RPSDM the spectrum of its
-    synthesis (``_fast_synthesis``, or ``modulate`` at non-power-of-two N).
+    shares. X is the symbols for OFDM; for RPSDM, the fft of the Haar
+    butterfly's block at power-of-two N, else the transform's ``spectrum``.
     Each receiver makes one ``equalize_spectrum`` call on its scheme's Y.
     Returns, per receiver, each row's (bit errors, summed squared symbol
     error), or None where a ZF row hit an exact zero and that receiver's
@@ -352,9 +342,10 @@ def _ber_trial(receivers, constellation, l: int, sigma2: np.ndarray, seed: int,
             eff = effective_channel(plan.scheme, ch, plan.transform)
             if plan.scheme is Scheme.OFDM:
                 sent = symbols
+            elif plan.transform.transpose_path:
+                sent = np.fft.fft(haar_synthesis(symbols), norm="ortho")
             else:
-                synthesis = _fast_synthesis(plan.scheme, n) or (lambda s: modulate(plan, s))
-                sent = np.fft.fft(synthesis(symbols), norm="ortho")
+                sent = plan.transform.spectrum(symbols)
             received[plan.scheme] = (eff.gains * sent + noise_spectrum, eff)
         spectrum, eff = received[plan.scheme]
         spec = DetectorSpec.zf() if detector is Detector.ZF else DetectorSpec.mmse(sigma2)

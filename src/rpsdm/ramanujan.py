@@ -88,6 +88,12 @@ class SubspaceMap:
     a: np.ndarray
     a_inv: np.ndarray
 
+    @cached_property
+    def g_inv(self) -> np.ndarray:
+        """(a a^H)^{-1} = a_inv^H a_inv, the MMSE block solve's weight: built
+        on first use and kept with the map, so once per transform."""
+        return self.a_inv.conj().T @ self.a_inv
+
 
 @dataclass(frozen=True)
 class PeriodicTransform:
@@ -100,8 +106,8 @@ class PeriodicTransform:
     the normalized modulation matrix (e_t with weighted columns), and
     ``e_r`` its inverse, realized as the plain transpose when n is a power of
     two (the weighted columns are orthonormal there) and as a dense inverse
-    otherwise. A caller that never reads them, as the BER engine at
-    power-of-two n, builds no n x n array.
+    otherwise. A caller that never reads them, as the BER engine at every
+    n, builds no n x n array.
     """
 
     n: int
@@ -154,6 +160,17 @@ class PeriodicTransform:
             a = np.sqrt(self.n / phi) * np.exp(-2j * np.pi * phase / self.n)
             maps.append(SubspaceMap(bins=bins, a=a, a_inv=np.linalg.inv(a)))
         return tuple(maps)
+
+    def spectrum(self, symbols: np.ndarray) -> np.ndarray:
+        """fft(forward @ s, norm="ortho") for a length-n vector or each row of
+        a (rows, n) batch with no n x n matrix: X[supp q] = A_q s_q / sqrt(n),
+        a stacked product per block, so each row gets its 1-D call's bytes."""
+        symbols = np.asarray(symbols)
+        out = np.empty(symbols.shape, dtype=np.complex128)
+        for (_, phi, offset), m in zip(self.layout.blocks(), self.subspace_maps):
+            out[..., m.bins] = (m.a @ symbols[..., offset:offset + phi, None])[..., 0]
+        out /= np.sqrt(self.n)
+        return out
 
 
 def build_transform(n: int) -> PeriodicTransform:

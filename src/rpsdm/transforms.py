@@ -6,8 +6,8 @@ meeting complex symbols as one real gemm on the (n, 2) float view of the
 vector. A (rows, N) batch is a stack of those products, one per row, so each
 row's bytes equal its own 1-D call. A plan builds its dense matrices only
 when ``forward`` or ``inverse`` is first read: OFDM's DFT matrix, which the
-engines never read, and RPSDM's transform pair, which they read only at
-non-power-of-two N.
+engines never read, and RPSDM's transform pair, which only the CCDF engine
+reads, at non-power-of-two N.
 ``sparse_irpt`` and ``synthesize_by_subspaces`` are test oracles that the
 dense route must agree with; ``sparse_irpt`` also carries the sparse op
 count. At power-of-two N, RPSDM needs no N x N matrix: ``haar_synthesis``

@@ -135,6 +135,21 @@ class TestPerBinEqualizer:
             got = equalize_spectrum(spec, eff, np.fft.fft(r, norm="ortho"))
             assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
+    @pytest.mark.parametrize("n", [3, 12, 30, 96, 360])
+    def test_block_zf_matches_the_dense_analysis(self, n):
+        # ZF block by block, A_q^{-1} (sqrt(N) Y[supp q] / H[supp q]), against
+        # e_r @ ifft(W Y) with the per-bin weights W = H* / |H|^2; its batch
+        # rows are checked in test_batch_rows_equal_one_dimensional_calls
+        transform = build_transform(n)
+        rng = np.random.default_rng(900 + n)
+        taps = rng.standard_normal((4, min(5, n))) + 1j * rng.standard_normal((4, min(5, n)))
+        spectrum = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        eff = effective_channel(Scheme.RPSDM, ChannelRealization(taps=taps, n=n), transform)
+        got = equalize_spectrum(DetectorSpec.zf(), eff, spectrum)
+        weights = np.conj(eff.gains) / np.abs(eff.gains) ** 2
+        oracle = np.fft.ifft(weights * spectrum, norm="ortho") @ transform.e_r.T
+        assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
     def test_rejects_integer_basis(self):
         # the raw (e_t^T, e_t) blocks are not A_q^{-1} diag(H_q) A_q
         transform = build_transform(8)
@@ -181,12 +196,12 @@ class TestPerBinEqualizer:
         assert info.value.where == first.value.where
 
     @pytest.mark.parametrize("scheme", [Scheme.OFDM, Scheme.RPSDM])
-    @pytest.mark.parametrize("n", [1, 2, 12, 96, 128, 512])
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 30, 96, 128, 360, 512])
     def test_batch_rows_equal_one_dimensional_calls(self, scheme, n):
         # effective_channel, equalize (ZF, MMSE with one zeta per row or one
         # for all) and qam_demap on a (rows, N) batch are byte for byte the
-        # stack of their rows' own calls; at N = 12 and 96 MMSE solves blocks on
-        # the spectrum
+        # stack of their rows' own calls; at N = 3, 12, 30, 96 and 360 ZF and
+        # MMSE work block by block on the spectrum
         transform = build_transform(n) if scheme is Scheme.RPSDM else None
         rng = np.random.default_rng(500 + n)
         l = min(5, n)

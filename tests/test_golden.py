@@ -64,6 +64,10 @@ RUNS = {
     "ber-n360-rpsdm-mmse": ["ber", "--n", "360", "--l", "16", "--m", "16", "--snr", "0:30:10",
                             "--trials", "5", "--seed", "53", "--scheme", "rpsdm",
                             "--detector", "mmse", "--output", "ber.csv"],
+    # ZF through the per-block maps of 24 divisor blocks, up to phi = 96
+    "ber-n360-rpsdm-zf": ["ber", "--n", "360", "--l", "16", "--m", "16", "--snr", "0:30:10",
+                          "--trials", "5", "--seed", "61", "--scheme", "rpsdm",
+                          "--detector", "zf", "--output", "ber.csv"],
     # extreme regularizers: zeta = 100 at -20 dB and zeta = 1e-30 at 300 dB
     "ber-n30-extreme-snr": ["ber", "--n", "30", "--l", "7", "--m", "16", "--snr=-20,0,300",
                             "--trials", "40", "--seed", "59", "--scheme", "both",
@@ -137,6 +141,10 @@ GOLDEN = {
     'ber-n360-rpsdm-mmse': {
         'stdout': 'a084854a6598be3dba709dbf685782d1388068e420cb865e00f42af072f05fd8',
         'ber.csv': '9e7239356fb3a24c256956cb3e5caf54ef64040fd5bc5c6a5ccb7688a17ec9e2',
+    },
+    'ber-n360-rpsdm-zf': {
+        'stdout': '9c258fe2ec5cb80d1315c22bc0330eb84aa85c8402f4f91bde2afceb0fcd3d18',
+        'ber.csv': '7623e05bfd3c1ce60a5916471c5403bd04dc18a7ca6d1e1fa3582b7d49f8dbd4',
     },
     'ber-n512': {
         'stdout': 'eb9199ea55e92c23a09601fb6df0a7771fdcdc62903c7aff71abeb5e04d87ab7',

@@ -19,7 +19,7 @@ from rpsdm.metrics import (_CCDF_CHUNK, _CCDF_TILE, _ber_draws, _ccdf_synthesis,
                            ber_curve, ber_curves, ccdf_crossing, complexity_report,
                            gamma_coefficient, noise_variance, papr, papr_ccdf, papr_ccdfs,
                            papr_db, worst_case_papr)
-from rpsdm.number_theory import divisor_set, totient
+from rpsdm.number_theory import totient
 from rpsdm.streams import _key_streams, _raw_indices
 from rpsdm.transforms import Scheme, demodulate, make_plan, modulate
 
@@ -408,9 +408,10 @@ class TestBerEngine:
                 assert getattr(curve, attr).tobytes() == getattr(alone, attr).tobytes()
             assert curve.metadata == alone.metadata
 
-    @pytest.mark.parametrize("n", [16, 128])
-    def test_power_of_two_lengths_run_no_dense_product(self, monkeypatch, n):
-        # OFDM's ffts and RPSDM's butterflies need no N x N matrix
+    @pytest.mark.parametrize("n", [12, 16, 96, 128])
+    def test_no_length_runs_a_dense_product(self, monkeypatch, n):
+        # OFDM's ffts, RPSDM's butterflies and its per-subspace maps need no
+        # N x N matrix
         for module, name in ((rpsdm.transforms, "ofdm_synthesis_matrix"),
                              (rpsdm.metrics, "modulate"), (rpsdm.metrics, "demodulate"),
                              (rpsdm.detection, "_real_matvec")):
@@ -420,28 +421,16 @@ class TestBerEngine:
         assert [(c.scheme, c.detector) for c in curves] == [
             (s, d) for s in SCHEMES for d in DETECTORS]
 
-    @pytest.mark.parametrize("n", [16, 128, 4096])
-    def test_power_of_two_lengths_build_no_dense_pair(self, monkeypatch, n):
-        # the butterflies and the per-bin equalizer read only the RPSDM
-        # transform's layout, so its dense pair is never built
+    @pytest.mark.parametrize("n", [12, 16, 96, 128, 4096])
+    def test_no_length_builds_the_dense_pair(self, monkeypatch, n):
+        # the butterflies, the per-bin equalizer and the per-subspace maps
+        # read only the RPSDM transform's layout, so its dense pair is never
+        # built
         monkeypatch.setattr(rpsdm.ramanujan, "subspace_basis", refuse("subspace_basis"))
         curves = ber_curves(SCHEMES, DETECTORS, n, 4, QAM16, np.array([0.0, 20.0]), trials=2,
                             seed=34)
         assert [(c.scheme, c.detector) for c in curves] == [
             (s, d) for s in SCHEMES for d in DETECTORS]
-
-    @pytest.mark.parametrize("n", [12, 96])
-    def test_other_lengths_build_the_dense_pair(self, monkeypatch, n):
-        # RPSDM's synthesis (modulate) and ZF analysis (e_r) need the pair
-        calls = []
-        real = rpsdm.ramanujan.subspace_basis
-
-        def counted(q, n_total):
-            calls.append(q)
-            return real(q, n_total)
-        monkeypatch.setattr(rpsdm.ramanujan, "subspace_basis", counted)
-        ber_curves(SCHEMES, DETECTORS, n, 4, QAM16, np.array([0.0, 20.0]), trials=2, seed=34)
-        assert calls == list(divisor_set(n).divisors)
 
     @pytest.mark.parametrize("n", [1, 2, 12, 128])
     @pytest.mark.parametrize("m", [4, 16, 64, 256])

@@ -325,6 +325,8 @@ class TestSubspaceMaps:
                 np.testing.assert_allclose(m.a, spectrum[m.bins, offset:offset + phi],
                                            atol=1e-12 * n)
                 np.testing.assert_allclose(m.a_inv @ m.a, np.eye(phi), atol=1e-12)
+                np.testing.assert_allclose(m.g_inv @ m.a @ m.a.conj().T, np.eye(phi),
+                                           atol=1e-12)
 
     def test_built_lazily_and_held_by_the_transform(self):
         t = build_transform(8)
@@ -332,6 +334,21 @@ class TestSubspaceMaps:
         maps = t.subspace_maps
         assert t.subspace_maps is maps
         assert "subspace_maps" not in vars(build_transform(8))
+        # the MMSE weight (A_q A_q^H)^{-1} is built once per map, when first read
+        assert "g_inv" not in vars(maps[1])
+        assert maps[1].g_inv is maps[1].g_inv
+
+    @pytest.mark.parametrize("n", [1, 3, 12, 16, 30, 96, 360])
+    def test_spectrum_is_the_unitary_dft_of_the_synthesis(self, n):
+        # X[supp q] = A_q s_q / sqrt(N) against fft(forward @ s), and each
+        # row of a batch byte for byte against its own 1-D call
+        t = build_transform(n)
+        rng = np.random.default_rng(700 + n)
+        s = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        got = t.spectrum(s)
+        oracle = np.fft.fft(s @ t.forward.T, norm="ortho")
+        assert np.abs(got - oracle).max() <= 1e-14 * np.abs(oracle).max()
+        assert got.tobytes() == np.stack([t.spectrum(row) for row in s]).tobytes()
 
     @pytest.mark.parametrize("n", [*range(1, 17), 96, 128])
     def test_unitary_exactly_for_powers_of_two(self, n):
